@@ -88,16 +88,39 @@ def export_dictionary_json(
 
 
 def load_dictionary_json(path) -> tuple[PowerDictionary, SearchSpace, dict[str, Any]]:
+    """Dictionary, search space and metadata from a JSON export.
+
+    Every entry must name a grid point of the export's own search space.
+    """
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     if payload.get("schema_version") != SCHEMA_VERSION:
         raise FormatError(
             f"unsupported schema_version {payload.get('schema_version')!r} in {path}"
         )
+    for key, kind in (("search_space", dict), ("entries", list)):
+        if not isinstance(payload.get(key), kind):
+            raise FormatError(f"{path}: missing or malformed {key!r} section")
     space = space_from_dict(payload["search_space"])
+    counts = space.grid_counts
     dictionary = PowerDictionary()
-    for entry in payload["entries"]:
-        dictionary.insert(Chromosome(tuple(int(g) for g in entry["genes"])), float(entry["power"]))
+    for number, entry in enumerate(payload["entries"], start=1):
+        try:
+            genes = tuple(int(g) for g in entry["genes"])
+            power = float(entry["power"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: entry {number} is malformed: {exc!r}") from None
+        if len(genes) != len(counts) or not all(0 <= g < c for g, c in zip(genes, counts)):
+            raise FormatError(
+                f"{path}: entry {number} has genes {list(genes)}, "
+                f"off the {' x '.join(map(str, counts))} grid"
+            )
+        try:
+            dictionary.insert(Chromosome(genes), power)
+        except ValueError as exc:
+            raise FormatError(f"{path}: entry {number}: {exc}") from None
     return dictionary, space, payload.get("metadata", {})
 
 

@@ -18,6 +18,11 @@ from .grid import Chromosome, SearchSpace
 
 METRICS = ("normalized_euclidean", "raw_euclidean")
 
+# Distances closer than this count as equal. Rounding moves a lattice
+# distance by ~1e-13 at most, while distinct lattice distances on the shipped
+# grids differ by at least 2.7e-6 under either metric.
+_TIE_TOL = 1e-9
+
 
 class QueryError(ValueError):
     """A neighbor query cannot be answered from the given dictionary."""
@@ -86,11 +91,15 @@ class DictionaryIndex:
         scales = _scales(self.space, query.metric)
         deltas = (self.points - point) * scales
         distances = np.sqrt((deltas * deltas).sum(axis=1))
-        # lexsort's last key is primary: distance first, then the gene
-        # columns left to right break exact ties.
-        gene_keys = tuple(self.genes[:, j] for j in reversed(range(self.genes.shape[1])))
-        order = np.lexsort(gene_keys + (distances,))
-        top = order[: query.k]
+        # Only entries within _TIE_TOL of the k-th smallest distance can be
+        # among the k nearest. Ranked by distance, each one within _TIE_TOL
+        # of the one before it is tied with it; rows are in gene order
+        # (sorted_items), so the row index breaks ties.
+        kth = np.partition(distances, query.k - 1)[query.k - 1]
+        near = np.flatnonzero(distances <= kth + _TIE_TOL)
+        ascending = near[np.argsort(distances[near], kind="stable")]
+        tie_rank = np.concatenate(([0], np.cumsum(np.diff(distances[ascending]) > _TIE_TOL)))
+        top = ascending[np.lexsort((ascending, tie_rank))][: query.k]
         return [
             Neighbor(self.chromosomes[i], float(self.powers[i]), float(distances[i]))
             for i in top

@@ -1,32 +1,40 @@
 """Monte-Carlo oracle for the rejection probability at one grid point.
 
-The estimate is a pure function of (chromosome, oracle settings, master seed):
-every replication draws from a substream derived from the master seed and the
-chromosome's integer coordinates, so repeated queries agree bit-for-bit
-regardless of call order or worker placement.
+The estimate is a pure function of (chromosome, oracle settings, master seed).
+All replications of a grid point are rows drawn in order from one generator
+seeded by the master seed and the chromosome's integer coordinates, so
+repeated queries agree bit-for-bit regardless of call order, worker placement,
+or how the replications are chunked.
+
+Each chunk of replications is fitted with one batched QR of the augmented
+design [intercept, untested slopes, tested slopes, y]. Its R factor carries
+both tests: R[-1, -1]^2 is the full model's SSE, and the squared norm of the
+tested rows of the last column is the rise in SSE when the tested slopes are
+dropped. A single-slope t test is the one-slope F test (t^2 = F(1, df)), so
+one cached critical value per (slopes tested, df, alpha) decides every
+replication.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
 
 from .grid import Chromosome, SearchSpace
-from .regression import (
-    DegenerateFitError,
-    SingularDesignError,
-    TestSpec,
-    REGRESSOR_SCHEMES,
-    generate_mlr_sample,
-    ols_fit,
-    run_test,
-)
+from .regression import REGRESSOR_SCHEMES, TestSpec
+from .special import f_cdf
 
 _MAX_REDRAWS = 10
+# Bytes of augmented design per chunk of replications: bounds the working set
+# for any n and nsim without changing any value.
+_CHUNK_BYTES = 128 * 1024
+# A design column is linearly dependent when its R diagonal is this small
+# relative to the column norm (the rule of regression.ols_fit).
+_RANK_TOL = 1e-10
 
 
 class OracleError(RuntimeError):
@@ -55,40 +63,78 @@ class OracleConfig:
             raise ValueError(f"unknown regressor scheme {self.scheme!r}")
 
 
-def _restricted_columns(p: int, tested: tuple[int, ...]) -> list[int]:
-    # Intercept plus every untested slope; slope j sits in design column j.
-    return [0] + [j for j in range(1, p + 1) if j not in tested]
+@lru_cache(maxsize=1024)
+def critical_value(k: int, df: int, alpha: float) -> float:
+    """F_{1-alpha}(k, df), by bisection on special.f_cdf to full double
+    precision. The F test rejects when its statistic exceeds this value."""
+    target = 1.0 - alpha
+    lo, hi = 0.0, 1.0
+    while f_cdf(hi, k, df) < target:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if f_cdf(mid, k, df) < target:
+            lo = mid
+        else:
+            hi = mid
 
 
-def _one_replication(
-    stream: np.random.SeedSequence,
-    beta: np.ndarray,
-    n: int,
-    config: OracleConfig,
-) -> bool:
-    """Rejection indicator for a single replication.
+@dataclass(frozen=True)
+class _Point:
+    """What the kernel needs to know about one grid point."""
 
-    A degenerate draw (rank-deficient design or zero standard error) is
-    re-drawn from the replication's next substream, at most _MAX_REDRAWS
-    times; such draws are measure-zero under both schemes, so the retry
-    cannot bias the estimate.
+    n: int
+    scheme: str
+    order: list[int]  # regressor behind each slope column: untested, then tested
+    beta: np.ndarray  # slopes in column order
+    tested: int  # number of tested slopes, the last slope columns
+    sqrt_sigma2: float
+    critical: float  # F_{1-alpha}(tested, n - p - 1)
+
+    @property
+    def width(self) -> int:
+        """Standard normals per replication: n for the noise, then the
+        regressors (all p for normal, the measure x2 for experiment)."""
+        per_row = len(self.beta) if self.scheme == "normal" else 1
+        return self.n * (1 + per_row)
+
+
+def _rejections(draws: np.ndarray, point: _Point) -> tuple[np.ndarray, np.ndarray]:
+    """Rejection indicators for a block of replications, one row of standard
+    normals each, and a mask of the rows whose fit is degenerate: a
+    rank-deficient design or a zero SSE.
+
+    Noise and regressors come from each row in the order
+    regression.generate_mlr_sample draws them from its stream.
     """
-    rng = np.random.default_rng(stream)
-    for _ in range(_MAX_REDRAWS + 1):
-        try:
-            X, y = generate_mlr_sample(beta, n, config.sigma2, config.scheme, rng)
-            fit = ols_fit(X, y)
-            restricted_sse = None
-            if config.test.kind == "f_joint":
-                keep = _restricted_columns(len(beta), config.test.tested_indices)
-                restricted_sse = ols_fit(X[:, keep], y).sse
-            return run_test(fit, config.test, config.alpha, restricted_sse).reject
-        except (SingularDesignError, DegenerateFitError):
-            rng = np.random.default_rng(stream.spawn(1)[0])
-    raise OracleError(
-        f"replication still degenerate after {_MAX_REDRAWS} re-draws "
-        f"(beta={beta.tolist()}, n={n})"
-    )
+    rows, n, p = len(draws), point.n, len(point.beta)
+    if point.scheme == "normal":
+        regressors = draws[:, n:].reshape(rows, n, p).transpose(2, 0, 1)
+    else:
+        x1 = np.ones(n)
+        x1[: n // 2] = -1.0
+        x2 = draws[:, n:]
+        regressors = (x1, x2, x1 * x2)
+    # One matrix per replication, stored column by column:
+    # [intercept, slopes in column order, y].
+    columns = np.empty((rows, p + 2, n))
+    columns[:, 0] = 1.0
+    for column, j in enumerate(point.order, start=1):
+        columns[:, column] = regressors[j]
+    np.matmul(point.beta, columns[:, 1:-1], out=columns[:, -1])
+    columns[:, -1] += draws[:, :n] * point.sqrt_sigma2
+    squares = np.linalg.qr(columns.transpose(0, 2, 1), mode="r") ** 2
+    # Q is orthogonal, so each column of R has the norm of its design column.
+    norms2 = np.sum(squares, axis=1)
+    diag2 = np.diagonal(squares, axis1=1, axis2=2)
+    sse = diag2[:, -1]
+    degenerate = np.any(diag2[:, :-1] <= _RANK_TOL**2 * norms2[:, :-1], axis=1) | (sse == 0.0)
+    rise = np.sum(squares[:, p + 1 - point.tested : p + 1, -1], axis=1)
+    # F = (rise / tested) / (sse / df) > critical, kept free of division so
+    # that a zero SSE needs no special case.
+    return rise * (n - p - 1) > point.critical * point.tested * sse, degenerate
 
 
 def estimate_power(
@@ -101,6 +147,11 @@ def estimate_power(
 
     Deterministic in (chromosome, config, master_seed); always an exact
     multiple of 1 / nsim.
+
+    A degenerate replication (rank-deficient design or zero SSE) is re-drawn,
+    at most _MAX_REDRAWS times, from a stream keyed on (master_seed, genes,
+    row, attempt); such draws are measure-zero under both schemes, so the
+    retry cannot bias the estimate.
     """
     beta, n = space.decode_params(chromosome)
     p = len(beta)
@@ -108,15 +159,44 @@ def estimate_power(
         raise OracleError(
             f"decoded sample size {n} cannot fit {p} slopes plus intercept"
         )
-    if max(config.test.tested_indices) > p:
-        raise ValueError(
-            f"test indices {config.test.tested_indices} exceed the {p} coefficients"
-        )
-    root = np.random.SeedSequence((master_seed, *chromosome.genes))
+    tested = config.test.tested_indices
+    if max(tested) > p:
+        raise ValueError(f"test indices {tested} exceed the {p} coefficients")
+    if config.scheme == "experiment" and p != 3:
+        raise ValueError(f"experiment scheme requires exactly 3 coefficients, got {p}")
+    order = [j for j in range(p) if j + 1 not in tested] + [j - 1 for j in tested]
+    point = _Point(
+        n=n,
+        scheme=config.scheme,
+        order=order,
+        beta=beta[order],
+        tested=len(tested),
+        sqrt_sigma2=float(np.sqrt(config.sigma2)),
+        critical=critical_value(len(tested), n - p - 1, config.alpha),
+    )
+    chunk = max(1, _CHUNK_BYTES // (8 * n * (p + 2)))
+    rng = np.random.default_rng(np.random.SeedSequence((master_seed, *chromosome.genes)))
     rejections = 0
-    for stream in root.spawn(config.nsim):
-        rejections += _one_replication(stream, beta, n, config)
+    for start in range(0, config.nsim, chunk):
+        rows = min(chunk, config.nsim - start)
+        reject, degenerate = _rejections(rng.standard_normal((rows, point.width)), point)
+        for row in np.flatnonzero(degenerate):
+            reject[row] = _redraw(point, (master_seed, *chromosome.genes, start + int(row)))
+        rejections += int(np.count_nonzero(reject))
     return rejections / config.nsim
+
+
+def _redraw(point: _Point, key: tuple[int, ...]) -> bool:
+    """Rejection indicator of a degenerate replication's replacement."""
+    for attempt in range(1, _MAX_REDRAWS + 1):
+        rng = np.random.default_rng(np.random.SeedSequence((*key, attempt)))
+        reject, degenerate = _rejections(rng.standard_normal((1, point.width)), point)
+        if not degenerate[0]:
+            return bool(reject[0])
+    raise OracleError(
+        f"replication still degenerate after {_MAX_REDRAWS} re-draws "
+        f"(genes and row {key[1:]}, n={point.n})"
+    )
 
 
 @dataclass

@@ -134,6 +134,28 @@ class TestPredict:
         ]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def _predict_from(self, tmp_path, payload):
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(payload))
+        queries = tmp_path / "q.csv"
+        queries.write_text("theta_1,n\n0.3,40\n")
+        return main([
+            "predict", "--dictionary", str(broken),
+            "--queries", str(queries), "--out", str(tmp_path / "pred.csv"), "--k", "1",
+        ])
+
+    def test_dictionary_without_entries_exits_2(self, tmp_path, brute_export, capsys):
+        payload = json.loads(brute_export.read_text())
+        del payload["entries"]
+        assert self._predict_from(tmp_path, payload) == 2
+        assert "entries" in capsys.readouterr().err
+
+    def test_off_grid_genes_exit_2(self, tmp_path, brute_export, capsys):
+        payload = json.loads(brute_export.read_text())
+        payload["entries"] = [{"genes": [99, 99], "values": [0.3, 40.0], "power": 0.5}]
+        assert self._predict_from(tmp_path, payload) == 2
+        assert "off the 5 x 4 grid" in capsys.readouterr().err
+
     def test_batch_matches_library_predictions(self, tmp_path, brute_export):
         import numpy as np
         from powermap import NeighborQuery, predict_power

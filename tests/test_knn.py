@@ -196,3 +196,23 @@ class TestNeighborQueryValidation:
     def test_metric_name(self):
         with pytest.raises(QueryError):
             NeighborQuery(point=(0.1, 50.0), k=1, metric="manhattan")
+
+
+class TestLatticeTies:
+    def test_rounding_does_not_reorder_tied_neighbours(self):
+        """On the desk grid, (0,1,20) and (0,3,15) are equally far from
+        (0,3,20) (two theta_2 steps vs one n step, each 1/6 of its span);
+        the lower gene order must win."""
+        space = SearchSpace(
+            coefficient_ranges=(
+                ParameterRange(0.10, 0.30, 0.05),
+                ParameterRange(0.30, 0.90, 0.05),
+            ),
+            sample_size_range=ParameterRange(50, 200, 5),
+        )
+        d = PowerDictionary()
+        d.insert(Chromosome((0, 3, 15)), 0.25)
+        d.insert(Chromosome((0, 1, 20)), 0.75)
+        point = tuple(space.decode(Chromosome((0, 3, 20))))
+        (nearest,) = k_nearest(d, space, NeighborQuery(point=point, k=1))
+        assert nearest.chromosome.genes == (0, 1, 20)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import powermap.oracle as oracle_mod
 from powermap import (
     Chromosome,
     OracleConfig,
@@ -10,12 +11,17 @@ from powermap import (
     SearchSpace,
     TestSpec,
     estimate_power,
+    f_cdf,
+    generate_mlr_sample,
+    ols_fit,
+    run_test,
 )
 
-# Two-sided single-slope t test, beta=0.3, sigma2=1, n=100: reference power
-# from the noncentral-t distribution with noncentrality 0.3 * sqrt(100) = 3.0
-# and 98 degrees of freedom (frozen one-time computation).
-NONCENTRAL_T_REFERENCE = 0.8438754224639083
+# Two-sided single-slope t test, beta=0.3, sigma2=1, n=100, regressor drawn
+# iid standard normal: random-design power, the noncentral-t tail with
+# noncentrality 0.3 * sqrt(S) averaged over S ~ chi2(99), 98 degrees of
+# freedom (frozen one-time quadrature).
+NONCENTRAL_T_REFERENCE = 0.8332577
 
 
 def point_space(betas, n):
@@ -61,7 +67,8 @@ class TestEstimatePower:
     def test_matches_noncentral_t_reference(self):
         space = point_space([0.3], 100)
         estimate = estimate_power(Chromosome((0, 0)), space, t_config(10_000), 7)
-        assert estimate == pytest.approx(NONCENTRAL_T_REFERENCE, abs=0.02)
+        # 4 SE of a binomial share at nsim=10,000: 4 * sqrt(0.83 * 0.17 / 1e4)
+        assert estimate == pytest.approx(NONCENTRAL_T_REFERENCE, abs=0.015)
 
     def test_overwhelming_effect_always_rejects(self):
         space = point_space([5.0], 100)
@@ -159,3 +166,131 @@ class TestPowerOracle:
         space = point_space([0.2], 50)
         with pytest.raises(ValueError):
             PowerOracle(space, t_config(20), -1)
+
+
+def scalar_power(chromosome, space, config, seed, replace=None):
+    """Reference rejection share: one replication at a time through the
+    public scalar path, on the oracle's stream for this grid point.
+
+    replace maps a replication row to the stream its sample is taken from
+    instead (the row's draws are still consumed from the main stream).
+    """
+    beta, n = space.decode_params(chromosome)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, *chromosome.genes)))
+    keep = [0] + [j for j in range(1, len(beta) + 1) if j not in config.test.tested_indices]
+    rejections = 0
+    for row in range(config.nsim):
+        X, y = generate_mlr_sample(beta, n, config.sigma2, config.scheme, rng)
+        if replace and row in replace:
+            X, y = generate_mlr_sample(beta, n, config.sigma2, config.scheme, replace[row])
+        fit = ols_fit(X, y)
+        restricted = ols_fit(X[:, keep], y).sse if config.test.kind == "f_joint" else None
+        rejections += run_test(fit, config.test, config.alpha, restricted).reject
+    return rejections / config.nsim
+
+
+def desk_space():
+    return SearchSpace(
+        coefficient_ranges=(
+            ParameterRange(0.10, 0.30, 0.05),
+            ParameterRange(0.30, 0.90, 0.05),
+        ),
+        sample_size_range=ParameterRange(50, 200, 5),
+    )
+
+
+def interaction_space():
+    return SearchSpace(
+        coefficient_ranges=(
+            ParameterRange(0.2, 0.2, 0.05),
+            ParameterRange(0.6, 0.6, 0.05),
+            ParameterRange(0.05, 0.50, 0.05),
+        ),
+        sample_size_range=ParameterRange(50, 500, 450),
+    )
+
+
+KERNEL_CASES = [
+    # desk t test on slope 1
+    (desk_space(), t_config(200), (0, 3, 20)),
+    (desk_space(), t_config(200), (2, 5, 10)),
+    (desk_space(), t_config(200), (4, 12, 30)),
+    (desk_space(), t_config(200, tested=2), (1, 0, 0)),
+    # partial F test of the interaction, experiment scheme, n = 50 and 500
+    (
+        interaction_space(),
+        OracleConfig(200, 0.05, 1.0, TestSpec((3,), "f_joint"), "experiment"),
+        (0, 0, 3, 0),
+    ),
+    (
+        interaction_space(),
+        OracleConfig(200, 0.05, 1.0, TestSpec((3,), "f_joint"), "experiment"),
+        (0, 0, 1, 1),
+    ),
+    # joint F test of both slopes with sigma2 != 1
+    (
+        desk_space(),
+        OracleConfig(200, 0.05, 2.5, TestSpec((1, 2), "f_joint"), "normal"),
+        (3, 7, 12),
+    ),
+]
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("space, config, genes", KERNEL_CASES)
+    def test_equals_scalar_loop(self, space, config, genes):
+        c = Chromosome(genes)
+        assert estimate_power(c, space, config, 7) == scalar_power(c, space, config, 7)
+
+    @pytest.mark.parametrize("space, config, genes", KERNEL_CASES[::3])
+    def test_chunking_does_not_change_values(self, space, config, genes, monkeypatch):
+        c = Chromosome(genes)
+        base = estimate_power(c, space, config, 3)
+        monkeypatch.setattr(oracle_mod, "_CHUNK_BYTES", 1)  # one replication
+        assert estimate_power(c, space, config, 3) == base
+        monkeypatch.setattr(oracle_mod, "_CHUNK_BYTES", 1 << 40)  # all of nsim
+        assert estimate_power(c, space, config, 3) == base
+
+    def test_critical_value_inverts_f_cdf(self):
+        for k, df in ((1, 98), (3, 46), (2, 1)):
+            crit = oracle_mod.critical_value(k, df, 0.05)
+            assert f_cdf(crit, k, df) == pytest.approx(0.95, abs=1e-12)
+
+
+def _zero_regressors(rows_to_break):
+    """Wrap the kernel so that the replications whose first noise draw is in
+    rows_to_break get all-zero regressors (a rank-deficient design)."""
+    real = oracle_mod._rejections
+
+    def broken(draws, point):
+        draws = draws.copy()
+        hit = np.isin(draws[:, 0], rows_to_break) if rows_to_break is not None else slice(None)
+        draws[hit, point.n :] = 0.0
+        return real(draws, point)
+
+    return broken
+
+
+class TestDegenerateDraws:
+    def test_degenerate_row_is_redrawn_from_its_own_stream(self, monkeypatch):
+        space, config, genes, seed = desk_space(), t_config(50), (2, 5, 10), 4
+        c = Chromosome(genes)
+        rows = (3, 17, 40)
+        _, n = space.decode_params(c)
+        draws = np.random.default_rng(np.random.SeedSequence((seed, *genes))).standard_normal(
+            (config.nsim, n * 3)  # n noise draws, then n x 2 regressors
+        )
+        monkeypatch.setattr(oracle_mod, "_rejections", _zero_regressors(draws[rows, 0]))
+        got = estimate_power(c, space, config, seed)
+        replacements = {
+            row: np.random.default_rng(np.random.SeedSequence((seed, *genes, row, 1)))
+            for row in rows
+        }
+        assert got == scalar_power(c, space, config, seed, replace=replacements)
+        monkeypatch.setattr(oracle_mod, "_CHUNK_BYTES", 1)
+        assert estimate_power(c, space, config, seed) == got
+
+    def test_always_degenerate_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "_rejections", _zero_regressors(None))
+        with pytest.raises(OracleError, match="degenerate"):
+            estimate_power(Chromosome((0, 0, 0)), desk_space(), t_config(20), 1)
