@@ -35,8 +35,9 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    config = load_run_config(args.config)
-    workers = args.workers if args.workers is not None else config.worker_count
+    overrides = {} if args.workers is None else {"worker_count": args.workers}
+    config = load_run_config(args.config, overrides)
+    workers = config.worker_count
     space, oracle = config.space, config.oracle
     oracle_seed = config.resolved_oracle_seed
 

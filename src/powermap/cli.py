@@ -21,14 +21,9 @@ from .evaluate import (
     brute_force_manifold,
     evaluate as evaluate_dictionaries,
 )
-from .config import (
-    ConfigError,
-    RunConfig,
-    build_run_config,
-    resolved_config_dict,
-)
+from .config import ConfigError, RunConfig, load_run_config, resolved_config_dict
 from .grid import GridError
-from .knn import DictionaryIndex, NeighborQuery, QueryError
+from .knn import METRICS, DictionaryIndex, PredictorConfig, QueryError
 from .oracle import OracleError
 from .special import NumericalError
 
@@ -53,41 +48,28 @@ def _warn_dropped_remainders(config: RunConfig) -> None:
             )
 
 
-def _apply_overrides(data: dict, args: argparse.Namespace) -> dict:
-    """Flag overrides onto the raw config dict; flags win over the file."""
-    def setpath(path: tuple[str, ...], value) -> None:
-        target = data
-        for key in path[:-1]:
-            target = target.setdefault(key, {})
-        target[path[-1]] = value
-
-    mapping = [
-        ("master_seed", ("master_seed",)),
-        ("oracle_seed", ("oracle_seed",)),
-        ("workers", ("worker_count",)),
-        ("nsim", ("oracle", "nsim")),
-        ("alpha", ("oracle", "alpha")),
-        ("population_size", ("ga", "population_size")),
-        ("iterations", ("ga", "iterations")),
-        ("k", ("predictor", "k")),
-        ("metric", ("predictor", "metric")),
-        ("out_dir", ("output", "directory")),
-        ("prefix", ("output", "prefix")),
-    ]
-    for attr, path in mapping:
-        value = getattr(args, attr, None)
-        if value is not None:
-            setpath(path, value)
-    return data
+# Flag name -> the config field it overrides.
+_OVERRIDES = {
+    "master_seed": "master_seed", "oracle_seed": "oracle_seed", "workers": "worker_count",
+    "nsim": "oracle.nsim", "alpha": "oracle.alpha",
+    "population_size": "ga.population_size", "iterations": "ga.iterations",
+    "k": "predictor.k", "metric": "predictor.metric",
+    "out_dir": "output.directory", "prefix": "output.prefix",
+}
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
-    try:
-        with open(args.config) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.config}: not valid JSON: {exc}") from None
-    return build_run_config(_apply_overrides(data, args))
+def _overrides(args: argparse.Namespace) -> dict:
+    """The config fields that flags set; they win over the -c file."""
+    flags = {field: getattr(args, attr, None) for attr, field in _OVERRIDES.items()}
+    return {field: value for field, value in flags.items() if value is not None}
+
+
+def _predictor(args: argparse.Namespace) -> PredictorConfig:
+    """k and metric from the flags, then the -c config, then the defaults.
+    predict and evaluate have no override flags outside predictor.*."""
+    if args.config is not None:
+        return load_run_config(args.config, _overrides(args)).predictor
+    return PredictorConfig(**{f.split(".")[1]: v for f, v in _overrides(args).items()})
 
 
 def _out_paths(config: RunConfig) -> tuple[Path, Path, Path]:
@@ -126,7 +108,7 @@ def _export_run(
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = load_run_config(args.config, _overrides(args))
     if config.ga is None:
         raise ConfigError("ga: required section is missing for the learn command")
     _warn_dropped_remainders(config)
@@ -152,7 +134,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 
 def cmd_brute_force(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = load_run_config(args.config, _overrides(args))
     _warn_dropped_remainders(config)
     started = time.perf_counter()
     dictionary = brute_force_manifold(
@@ -174,30 +156,17 @@ def cmd_brute_force(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    k, metric = dataclasses.astuple(_predictor(args))
     dictionary, space, _ = io_mod.load_dictionary_json(args.dictionary)
-    k, metric = 5, "normalized_euclidean"
-    if args.config is not None:
-        config = _load_config(args)
-        k, metric = config.predictor.k, config.predictor.metric
-    if args.k is not None:
-        k = args.k
-    if args.metric is not None:
-        metric = args.metric
     _, points = io_mod.load_queries_csv(args.queries, space)
-    if points:
-        index = DictionaryIndex(dictionary, space)
-        predictions = []
-        for point in points:
-            neighbors = index.nearest(NeighborQuery(point=point, k=k, metric=metric))
-            predictions.append(sum(nb.power for nb in neighbors) / len(neighbors))
-    else:
-        predictions = []
+    predictions = DictionaryIndex(dictionary, space).predict(points, k, metric)
     io_mod.write_predictions_csv(args.out, space, points, predictions)
     _note(f"wrote {args.out} ({len(points)} predictions, k={k}, metric={metric})")
     return EXIT_OK
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    k = _predictor(args).k
     ga_dict, ga_space, ga_meta = io_mod.load_dictionary_json(args.ga)
     brute_dict, brute_space, _ = io_mod.load_dictionary_json(args.brute)
     if ga_space != brute_space:
@@ -205,18 +174,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "search spaces of the two exports differ; "
             "the comparison requires a shared grid"
         )
-    k = 5
-    if args.config is not None:
-        k = _load_config(args).predictor.k
-    if args.k is not None:
-        k = args.k
     queries = int(ga_meta.get("oracle_queries", len(ga_dict)))
-    report = ga_mod.GaReport(
-        dictionary=ga_dict,
-        oracle_queries=queries,
-        per_iteration=[],
-        elapsed_seconds=0.0,
-    )
+    report = ga_mod.GaReport(ga_dict, queries, per_iteration=[], elapsed_seconds=0.0)
     result = evaluate_dictionaries(report, brute_dict, ga_space, k)
     payload = dataclasses.asdict(result)
     text = json.dumps(payload, indent=1)
@@ -271,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--queries", required=True, help="CSV of query points")
     p_pred.add_argument("--out", required=True, help="output CSV path")
     p_pred.add_argument("--k", type=int)
-    p_pred.add_argument("--metric", choices=["normalized_euclidean", "raw_euclidean"])
+    p_pred.add_argument("--metric", choices=METRICS)
     p_pred.set_defaults(func=cmd_predict)
 
     p_eval = sub.add_parser(

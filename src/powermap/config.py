@@ -3,20 +3,21 @@ paths, plus the resolved-values dictionary that run outputs embed so every
 artifact is self-describing.
 
 Defaults follow the common study setup (alpha 0.05, nsim 1000, selection
-temperature 1, mutation probability 0.05, k 5); anything a config file sets
-explicitly wins, and CLI flags win over the file.
+temperature 1, mutation probability 0.05; the predictor's come from
+knn.PredictorConfig); anything a config file sets explicitly wins, and
+overrides (the CLI flags) win over the file.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any
 
 from .ga import GaConfig
 from .grid import GridError, SearchSpace
 from .io import space_from_dict, space_to_dict, FormatError
-from .knn import METRICS
+from .knn import PredictorConfig
 from .oracle import OracleConfig
 from .regression import TestSpec
 
@@ -24,18 +25,6 @@ from .regression import TestSpec
 class ConfigError(ValueError):
     """A configuration value is missing or invalid (message carries the
     field path)."""
-
-
-@dataclass(frozen=True)
-class PredictorConfig:
-    k: int = 5
-    metric: str = "normalized_euclidean"
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
 
 
 @dataclass(frozen=True)
@@ -138,14 +127,17 @@ def _build_ga(data: dict, master_seed: int) -> GaConfig:
         raise ConfigError(f"ga: {exc}") from None
 
 
-def _build_predictor(data: dict) -> PredictorConfig:
+def _build_defaulted(cls, data: dict, key: str):
+    """A dataclass whose fields all have defaults (their types) from the
+    optional section key; the class holds the only copy of the defaults."""
+    section = _section(data, key, required=False) or {}
     try:
-        return PredictorConfig(
-            k=_get(data, "predictor", "k", int, default=5),
-            metric=_get(data, "predictor", "metric", str, default="normalized_euclidean"),
-        )
+        return cls(**{
+            f.name: _get(section, key, f.name, type(f.default), default=f.default)
+            for f in fields(cls)
+        })
     except ValueError as exc:
-        raise ConfigError(f"predictor: {exc}") from None
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def build_run_config(data: dict[str, Any]) -> RunConfig:
@@ -161,15 +153,11 @@ def build_run_config(data: dict[str, Any]) -> RunConfig:
         raise ConfigError(f"oracle_seed: must be >= 0, got {oracle_seed}")
     ga_data = _section(data, "ga", required=False)
     ga = _build_ga(ga_data, master_seed) if ga_data is not None else None
-    predictor = _build_predictor(_section(data, "predictor", required=False) or {})
+    predictor = _build_defaulted(PredictorConfig, data, "predictor")
     worker_count = _get(data, "", "worker_count", int, default=1)
     if worker_count < 1:
         raise ConfigError(f"worker_count: must be >= 1, got {worker_count}")
-    out_data = _section(data, "output", required=False) or {}
-    output = OutputConfig(
-        directory=_get(out_data, "output", "directory", str, default="runs"),
-        prefix=_get(out_data, "output", "prefix", str, default="run"),
-    )
+    output = _build_defaulted(OutputConfig, data, "output")
     return RunConfig(
         space=space,
         oracle=oracle,
@@ -182,12 +170,19 @@ def build_run_config(data: dict[str, Any]) -> RunConfig:
     )
 
 
-def load_run_config(path) -> RunConfig:
+def load_run_config(path, overrides: dict[str, Any] | None = None) -> RunConfig:
+    """The run configuration in a JSON file. Overrides, keyed by field path
+    ("worker_count", "oracle.nsim"), win over the file's values."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    for name, value in (overrides or {}).items() if isinstance(data, dict) else ():
+        section, _, field = name.rpartition(".")
+        target = data.setdefault(section, {}) if section else data
+        if isinstance(target, dict):  # else build_run_config names the section
+            target[field] = value
     return build_run_config(data)
 
 
@@ -209,13 +204,10 @@ def resolved_config_dict(config: RunConfig) -> dict[str, Any]:
                 "tested_indices": list(config.oracle.test.tested_indices),
             },
         },
-        "predictor": {"k": config.predictor.k, "metric": config.predictor.metric},
+        "predictor": asdict(config.predictor),
         "master_seed": config.master_seed,
         "oracle_seed": config.resolved_oracle_seed,
-        "output": {
-            "directory": config.output.directory,
-            "prefix": config.output.prefix,
-        },
+        "output": asdict(config.output),
     }
     if config.ga is not None:
         out["ga"] = {

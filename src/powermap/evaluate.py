@@ -16,7 +16,7 @@ import numpy as np
 
 from .ga import GaReport, PowerDictionary
 from .grid import SearchSpace
-from .knn import DictionaryIndex, NeighborQuery
+from .knn import DictionaryIndex, PredictorConfig
 from .oracle import OracleConfig, PowerOracle
 
 DEFAULT_GRID_BUDGET = 1_000_000
@@ -122,19 +122,13 @@ def evaluate(
     seen = [c for c in grid if c in learned]
     rmse_seen = rmse([brute[c] for c in seen], [learned[c] for c in seen])
 
-    index = DictionaryIndex(learned, space)
-    reference = np.empty(size)
-    candidate = np.empty(size)
-    for i, c in enumerate(grid):
-        reference[i] = brute[c]
-        stored = learned.get(c)
-        if stored is None:
-            query = NeighborQuery(point=tuple(space.decode(c)), k=k)
-            stored = float(np.mean([nb.power for nb in index.nearest(query)]))
-        candidate[i] = stored
+    predicted = iter(DictionaryIndex(learned, space).predict(
+        [space.decode(c) for c in grid if c not in learned], k, PredictorConfig.metric
+    ))
+    candidate = [learned[c] if c in learned else next(predicted) for c in grid]
     return EvaluationReport(
         rmse_seen_only=rmse_seen,
-        rmse_full_grid=rmse(reference, candidate),
+        rmse_full_grid=rmse([brute[c] for c in grid], candidate),
         grid_size=size,
         ga_queries=ga.oracle_queries,
         query_ratio=ga.oracle_queries / size,

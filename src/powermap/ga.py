@@ -235,7 +235,7 @@ def run(
         dictionary = PowerDictionary()
         telemetry: list[IterationStats] = []
         population = initialize_population(space, ga_config.population_size, rng)
-        for iteration in range(1, ga_config.iterations + 1):
+        for iteration in range(1, ga_config.iterations + 2):
             fitness, new_queries = _resolve_fitness(population, dictionary, oracle)
             telemetry.append(
                 IterationStats(
@@ -245,6 +245,8 @@ def run(
                     mean_fitness=float(fitness.mean()),
                 )
             )
+            if iteration > ga_config.iterations:
+                break  # the terminal population is evaluated, not evolved
             population = reproduce(
                 population, fitness, ga_config.selection_lambda, rng
             )
@@ -254,15 +256,6 @@ def run(
             # the first candidates for replacement.
             known = np.array([dictionary.get(c, -1.0) for c in population])
             population = crossover_best_two(population, known, rng)
-        fitness, new_queries = _resolve_fitness(population, dictionary, oracle)
-        telemetry.append(
-            IterationStats(
-                iteration=ga_config.iterations + 1,
-                new_queries=new_queries,
-                best_fitness=float(fitness.max()),
-                mean_fitness=float(fitness.mean()),
-            )
-        )
         queries = oracle.total_queries
     return GaReport(
         dictionary=dictionary,

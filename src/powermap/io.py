@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from typing import Any
 
 from .ga import PowerDictionary
@@ -127,8 +128,8 @@ def load_dictionary_json(path) -> tuple[PowerDictionary, SearchSpace, dict[str, 
 def load_queries_csv(path, space: SearchSpace) -> tuple[list[str], list[tuple[float, ...]]]:
     """Query points from a CSV with the dictionary's coordinate columns.
 
-    Returns (header, points). Malformed rows are reported with their line
-    number (header is line 1).
+    Returns (header, points). Malformed rows, non-finite values among them,
+    are reported with their line number (header is line 1).
     """
     expected = dictionary_csv_header(space)[:-1]  # no power column
     with open(path, newline="") as fh:
@@ -150,9 +151,12 @@ def load_queries_csv(path, space: SearchSpace) -> tuple[list[str], list[tuple[fl
                     f"{path}: line {line_no}: expected {len(expected)} values, got {len(row)}"
                 )
             try:
-                points.append(tuple(float(v) for v in row[: len(expected)]))
+                point = tuple(float(v) for v in row[: len(expected)])
             except ValueError as exc:
                 raise FormatError(f"{path}: line {line_no}: {exc}") from None
+            if not all(math.isfinite(v) for v in point):
+                raise FormatError(f"{path}: line {line_no}: values must be finite, got {point}")
+            points.append(point)
     return header, points
 
 

@@ -23,22 +23,41 @@ METRICS = ("normalized_euclidean", "raw_euclidean")
 # grids differ by at least 2.7e-6 under either metric.
 _TIE_TOL = 1e-9
 
+# Query points are ranked in blocks of about this many bytes of distances.
+_CHUNK_BYTES = 128 * 1024
+
 
 class QueryError(ValueError):
     """A neighbor query cannot be answered from the given dictionary."""
+
+
+def _check(k: int, metric: str) -> None:
+    if k < 1:
+        raise QueryError(f"k must be >= 1, got {k}")
+    if metric not in METRICS:
+        raise QueryError(f"metric must be one of {METRICS}, got {metric!r}")
+
+
+@dataclass(frozen=True)
+class PredictorConfig:
+    """How unseen points are predicted: the mean of the k nearest entries
+    under metric. The one home of the predictor defaults."""
+
+    k: int = 5
+    metric: str = "normalized_euclidean"
+
+    def __post_init__(self) -> None:
+        _check(self.k, self.metric)
 
 
 @dataclass(frozen=True)
 class NeighborQuery:
     point: tuple[float, ...]
     k: int
-    metric: str = "normalized_euclidean"
+    metric: str = PredictorConfig.metric
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise QueryError(f"k must be >= 1, got {self.k}")
-        if self.metric not in METRICS:
-            raise QueryError(f"unknown metric {self.metric!r}")
+        _check(self.k, self.metric)
 
 
 @dataclass(frozen=True)
@@ -54,9 +73,7 @@ def _scales(space: SearchSpace, metric: str) -> np.ndarray:
     spans = np.array([r.upper - r.lower for r in space.ranges])
     # A zero-span (single-point) dimension carries no information; it
     # contributes nothing to any distance.
-    scales = np.zeros_like(spans)
-    scales[spans > 0] = 1.0 / spans[spans > 0]
-    return scales
+    return np.divide(1.0, spans, out=np.zeros_like(spans), where=spans > 0)
 
 
 class DictionaryIndex:
@@ -72,38 +89,77 @@ class DictionaryIndex:
         self.powers = np.array([v for _, v in entries])
         lowers = np.array([r.lower for r in space.ranges])
         steps = np.array([r.step for r in space.ranges])
-        self.points = lowers + self.genes * steps
+        self.columns = np.ascontiguousarray((lowers + self.genes * steps).T)
 
     def __len__(self) -> int:
         return len(self.chromosomes)
 
+    def _rank(self, points: np.ndarray, k: int, metric: str) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and distances, both (m, k), of the k nearest entries to each
+        of the (m, d) points, nearest first. Distances within _TIE_TOL are
+        ties, won by the lower row: rows are in gene order (sorted_items)."""
+        if k > len(self):
+            raise QueryError(f"k = {k} exceeds the {len(self)} stored entries")
+        dimension = self.space.dimension
+        if points.ndim != 2 or points.shape[1] != dimension:
+            raise QueryError(
+                f"query points have shape {points.shape}, expected (m, {dimension})"
+            )
+        if not np.isfinite(points).all():
+            raise QueryError("query points must be finite")
+        scales = _scales(self.space, metric)
+        rows = np.empty((len(points), k), dtype=np.intp)
+        distances = np.empty((len(points), k))
+        step = max(1, _CHUNK_BYTES // (8 * len(self)))
+        for start in range(0, len(points), step):
+            block = points[start : start + step]
+            # Summed one dimension at a time, in order: the same rounding as
+            # a row sum over the dimensions, without an (m, n, d) array.
+            squares = np.zeros((len(block), len(self)))
+            for j in range(dimension):
+                delta = self.columns[j] - block[:, j, None]
+                delta *= scales[j]
+                delta *= delta
+                squares += delta
+            dist = np.sqrt(squares, out=squares)
+            # Only entries within _TIE_TOL of the k-th smallest distance can
+            # be among the k nearest. Every row takes as many entries as the
+            # widest row needs; its extra ones are moved out of any tie.
+            order = np.argpartition(dist, k - 1, axis=1)
+            r = np.arange(len(block))[:, None]
+            bound = dist[r, order[:, k - 1 : k]] + _TIE_TOL
+            width = int((dist <= bound).sum(axis=1).max())
+            if width > k:
+                order = np.argpartition(dist, width - 1, axis=1)
+            near = order[:, :width]
+            near_dist = np.where(dist[r, near] > bound, bound + 1.0, dist[r, near])
+            # Ascending by distance, then row: each entry within _TIE_TOL of
+            # the one before it is tied with it, and ties go to the lower row.
+            ascending = np.lexsort((near, near_dist), axis=1)
+            near, near_dist = near[r, ascending], near_dist[r, ascending]
+            gaps = np.diff(near_dist, axis=1, prepend=near_dist[:, :1]) > _TIE_TOL
+            top = np.argsort(np.cumsum(gaps, axis=1) * len(self) + near, axis=1)[:, :k]
+            rows[start : start + step] = near[r, top]
+            distances[start : start + step] = near_dist[r, top]
+        return rows, distances
+
     def nearest(self, query: NeighborQuery) -> list[Neighbor]:
-        if query.k > len(self):
-            raise QueryError(
-                f"k = {query.k} exceeds the {len(self)} stored entries"
-            )
-        point = np.asarray(query.point, dtype=float)
-        if point.shape != (self.space.dimension,):
-            raise QueryError(
-                f"query point has shape {point.shape}, "
-                f"expected ({self.space.dimension},)"
-            )
-        scales = _scales(self.space, query.metric)
-        deltas = (self.points - point) * scales
-        distances = np.sqrt((deltas * deltas).sum(axis=1))
-        # Only entries within _TIE_TOL of the k-th smallest distance can be
-        # among the k nearest. Ranked by distance, each one within _TIE_TOL
-        # of the one before it is tied with it; rows are in gene order
-        # (sorted_items), so the row index breaks ties.
-        kth = np.partition(distances, query.k - 1)[query.k - 1]
-        near = np.flatnonzero(distances <= kth + _TIE_TOL)
-        ascending = near[np.argsort(distances[near], kind="stable")]
-        tie_rank = np.concatenate(([0], np.cumsum(np.diff(distances[ascending]) > _TIE_TOL)))
-        top = ascending[np.lexsort((ascending, tie_rank))][: query.k]
+        point = np.asarray(query.point, dtype=float).reshape(1, -1)
+        (rows,), (distances,) = self._rank(point, query.k, query.metric)
         return [
-            Neighbor(self.chromosomes[i], float(self.powers[i]), float(distances[i]))
-            for i in top
+            Neighbor(self.chromosomes[i], float(self.powers[i]), float(d))
+            for i, d in zip(rows, distances)
         ]
+
+    def predict(self, points, k: int, metric: str) -> np.ndarray:
+        """Unweighted mean power of the k nearest entries to each query
+        point (the rows of an (m, d) array-like), one value per point."""
+        _check(k, metric)
+        points = np.asarray(points, dtype=float)
+        if points.size == 0:
+            points = points.reshape(0, self.space.dimension)
+        rows, _ = self._rank(points, k, metric)
+        return self.powers[rows].mean(axis=1)
 
 
 def k_nearest(
@@ -117,6 +173,8 @@ def k_nearest(
 def predict_power(
     dictionary: PowerDictionary, space: SearchSpace, query: NeighborQuery
 ) -> float:
-    """Unweighted mean power of the k nearest stored entries."""
-    neighbors = k_nearest(dictionary, space, query)
-    return float(np.mean([nb.power for nb in neighbors]))
+    """Unweighted mean power of the k nearest stored entries. Each call
+    builds a DictionaryIndex: to query repeatedly, build one and call its
+    predict with all the points."""
+    index = DictionaryIndex(dictionary, space)
+    return float(index.predict([query.point], query.k, query.metric)[0])

@@ -78,6 +78,14 @@ class TestLearn:
         assert main(["learn", "-c", str(bad)]) == 2
         assert "JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("named", ["top level", "oracle"])
+    def test_flags_onto_malformed_config_exit_2(self, tmp_path, capsys, named):
+        config = write_config(tmp_path, oracle="fast")
+        if named == "top level":
+            config.write_text("[1, 2]")
+        assert main(["learn", "-c", str(config), "--nsim", "5", "--workers", "1"]) == 2
+        assert named in capsys.readouterr().err
+
 
 class TestBruteForce:
     def test_row_count_matches_grid(self, tmp_path):
@@ -133,6 +141,30 @@ class TestPredict:
             "--queries", str(queries), "--out", str(out),
         ]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_query_exits_2(self, tmp_path, brute_export, capsys, value):
+        queries = tmp_path / "q.csv"
+        queries.write_text(f"theta_1,n\n0.3,40\n{value},40\n")
+        out = tmp_path / "pred.csv"
+        assert main([
+            "predict", "--dictionary", str(brute_export),
+            "--queries", str(queries), "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "finite" in err
+        assert not out.exists()
+
+    def test_k_below_one_exits_2_without_queries(self, tmp_path, brute_export, capsys):
+        queries = tmp_path / "q.csv"
+        queries.write_text("theta_1,n\n")
+        out = tmp_path / "pred.csv"
+        assert main([
+            "predict", "--dictionary", str(brute_export),
+            "--queries", str(queries), "--out", str(out), "--k", "0",
+        ]) == 2
+        assert "k must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def _predict_from(self, tmp_path, payload):
         broken = tmp_path / "broken.json"
@@ -192,6 +224,13 @@ class TestEvaluate:
         assert payload["rmse_seen_only"] == 0.0
         assert payload["rmse_full_grid"] == 0.0
         assert payload["query_ratio"] == 1.0
+
+    def test_k_below_one_exits_2_on_a_covered_grid(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        main(["brute-force", "-c", str(config), "--prefix", "brute"])
+        brute = tmp_path / "out" / "brute_dictionary.json"
+        assert main(["evaluate", "--ga", str(brute), "--brute", str(brute), "--k", "0"]) == 2
+        assert "k must be >= 1" in capsys.readouterr().err
 
     def test_pipeline_learn_then_evaluate(self, tmp_path, capsys):
         config = write_config(tmp_path)

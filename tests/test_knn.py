@@ -14,6 +14,8 @@ from powermap import (
     k_nearest,
     predict_power,
 )
+from powermap import knn
+from powermap.knn import DictionaryIndex
 
 
 def make_space():
@@ -216,3 +218,91 @@ class TestLatticeTies:
         point = tuple(space.decode(Chromosome((0, 3, 20))))
         (nearest,) = k_nearest(d, space, NeighborQuery(point=point, k=1))
         assert nearest.chromosome.genes == (0, 1, 20)
+
+
+def desk_space():
+    return SearchSpace(
+        coefficient_ranges=(
+            ParameterRange(0.10, 0.30, 0.05),
+            ParameterRange(0.30, 0.90, 0.05),
+        ),
+        sample_size_range=ParameterRange(50, 200, 5),
+    )
+
+
+# Squared distance between desk grid points, times a constant that makes it
+# an exact integer: normalized steps are 1/4, 1/12 and 1/30 of each span,
+# raw steps 0.05, 0.05 and 5.
+DESK_WEIGHTS = {
+    "normalized_euclidean": np.array([225, 25, 4]),
+    "raw_euclidean": np.array([1, 1, 10_000]),
+}
+
+
+def exact_rows(index, genes, k, metric):
+    """The tie rule with exact arithmetic: ascending integer squared
+    distance, ties to the lower row (gene order)."""
+    key = ((index.genes - genes) ** 2 * DESK_WEIGHTS[metric]).sum(axis=1)
+    return np.lexsort((np.arange(len(key)), key))[:k]
+
+
+class TestBatchedPredict:
+    """DictionaryIndex.predict against the exact tie rule on a desk
+    dictionary, where equidistant lattice points are common."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        space = desk_space()
+        rng = np.random.default_rng(2022)
+        d = PowerDictionary()
+        while len(d) < 325:
+            c = space.random_chromosome(rng)
+            if c not in d:
+                d.insert(c, float(rng.random()))
+        unseen = [c for c in space.enumerate_grid() if c not in d]
+        points = np.array([space.decode(c) for c in unseen])
+        return DictionaryIndex(d, space), unseen, points
+
+    @pytest.mark.parametrize("metric", ["normalized_euclidean", "raw_euclidean"])
+    @pytest.mark.parametrize("k", [1, 5, 8])
+    def test_every_unseen_point(self, desk, k, metric):
+        index, unseen, points = desk
+        rows = [exact_rows(index, np.array(c.genes), k, metric) for c in unseen]
+        got = index.predict(points, k, metric)
+        want = np.array([np.mean(index.powers[r]) for r in rows])
+        assert np.array_equal(got, want)  # bit-identical, so the same rows
+        for c, point, r in zip(unseen, points, rows):
+            neighbors = index.nearest(NeighborQuery(tuple(point), k, metric))
+            assert [nb.chromosome for nb in neighbors] == [index.chromosomes[i] for i in r]
+
+    @pytest.mark.parametrize("queries_per_block", ["one", "all"])
+    def test_chunking_does_not_change_values(self, desk, monkeypatch, queries_per_block):
+        index, _, points = desk
+        want = index.predict(points, 7, "normalized_euclidean")
+        block = 1 if queries_per_block == "one" else len(points)
+        monkeypatch.setattr(knn, "_CHUNK_BYTES", 8 * len(index) * block)
+        assert np.array_equal(index.predict(points, 7, "normalized_euclidean"), want)
+
+    def test_zero_points(self, desk):
+        index, _, _ = desk
+        assert index.predict([], 5, "normalized_euclidean").shape == (0,)
+        assert index.predict(np.empty((0, 3)), 5, "raw_euclidean").shape == (0,)
+
+    def test_wrong_dimension(self, desk):
+        index, _, _ = desk
+        with pytest.raises(QueryError, match="shape"):
+            index.predict(np.zeros((4, 2)), 5, "normalized_euclidean")
+
+    @pytest.mark.parametrize(
+        "k, metric, point, match",
+        [
+            (0, "normalized_euclidean", (0.2, 0.5, 100.0), "k must be"),
+            (5, "manhattan", (0.2, 0.5, 100.0), "metric"),
+            (326, "normalized_euclidean", (0.2, 0.5, 100.0), "exceeds"),
+            (5, "normalized_euclidean", (0.2, float("nan"), 100.0), "finite"),
+        ],
+    )
+    def test_invalid_queries(self, desk, k, metric, point, match):
+        index, _, _ = desk
+        with pytest.raises(QueryError, match=match):
+            index.predict([point], k, metric)
