@@ -14,6 +14,7 @@ Example:
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -55,19 +56,9 @@ def main(argv=None) -> int:
         for iterations in args.iterations:
             cell, cell_started = [], time.perf_counter()
             for seed in args.seeds:
-                report = run(
-                    space,
-                    oracle,
-                    GaConfig(
-                        population_size=population_size,
-                        iterations=iterations,
-                        selection_lambda=config.ga.selection_lambda if config.ga else 1.0,
-                        mutation_prob=config.ga.mutation_prob if config.ga else 0.05,
-                        master_seed=seed,
-                    ),
-                    oracle_seed=oracle_seed,
-                    worker_count=workers,
-                )
+                settings = dict(population_size=population_size, iterations=iterations, master_seed=seed)
+                ga = replace(config.ga, **settings) if config.ga else GaConfig(**settings)
+                report = run(space, oracle, ga, oracle_seed=oracle_seed, worker_count=workers)
                 cell.append(evaluate(report, brute, space, config.predictor.k))
             elapsed_ms = (time.perf_counter() - cell_started) * 1000 / len(args.seeds)
             rows.append(

@@ -23,7 +23,7 @@ from .ga import (
 )
 from .grid import Chromosome, GridError, ParameterRange, SearchSpace
 from .knn import Neighbor, NeighborQuery, QueryError, k_nearest, predict_power
-from .oracle import OracleConfig, OracleError, PowerOracle, QueryCounter, estimate_power
+from .oracle import OracleConfig, OracleError, PowerOracle, estimate_power
 from .regression import (
     DegenerateFitError,
     OlsFit,
@@ -58,7 +58,6 @@ __all__ = [
     "ParameterRange",
     "PowerDictionary",
     "PowerOracle",
-    "QueryCounter",
     "QueryError",
     "SearchSpace",
     "SingularDesignError",

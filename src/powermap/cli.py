@@ -21,7 +21,7 @@ from .evaluate import (
     brute_force_manifold,
     evaluate as evaluate_dictionaries,
 )
-from .config import ConfigError, RunConfig, load_run_config, resolved_config_dict
+from .config import RunConfig, load_run_config, resolved_config_dict
 from .grid import GridError
 from .knn import METRICS, DictionaryIndex, PredictorConfig, QueryError
 from .oracle import OracleError
@@ -110,7 +110,7 @@ def _export_run(
 def cmd_learn(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, _overrides(args))
     if config.ga is None:
-        raise ConfigError("ga: required section is missing for the learn command")
+        raise io_mod.FormatError("ga: required section is missing for the learn command")
     _warn_dropped_remainders(config)
     report = ga_mod.run(
         config.space,
@@ -170,11 +170,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ga_dict, ga_space, ga_meta = io_mod.load_dictionary_json(args.ga)
     brute_dict, brute_space, _ = io_mod.load_dictionary_json(args.brute)
     if ga_space != brute_space:
-        raise ConfigError(
+        raise io_mod.FormatError(
             "search spaces of the two exports differ; "
             "the comparison requires a shared grid"
         )
-    queries = int(ga_meta.get("oracle_queries", len(ga_dict)))
+    queries = io_mod.field(ga_meta, f"{args.ga}: metadata", "oracle_queries", int, len(ga_dict))
     report = ga_mod.GaReport(ga_dict, queries, per_iteration=[], elapsed_seconds=0.0)
     result = evaluate_dictionaries(report, brute_dict, ga_space, k)
     payload = dataclasses.asdict(result)
@@ -252,7 +252,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (
-        ConfigError,
         io_mod.FormatError,
         GridError,
         QueryError,

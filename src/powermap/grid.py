@@ -42,6 +42,10 @@ class ParameterRange:
             raise GridError(f"step must be > 0, got {self.step}")
         if self.lower > self.upper:
             raise GridError(f"lower {self.lower} exceeds upper {self.upper}")
+        if not math.isfinite((self.upper - self.lower) / self.step):
+            raise GridError(
+                f"[{self.lower}, {self.upper}] in steps of {self.step} is not a finite grid"
+            )
 
     @property
     def grid_count(self) -> int:

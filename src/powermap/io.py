@@ -14,16 +14,109 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import Any
+from dataclasses import MISSING, fields
+from types import GenericAlias
+from typing import Any, get_type_hints
+
+import numpy as np
 
 from .ga import PowerDictionary
 from .grid import Chromosome, ParameterRange, SearchSpace
 
 SCHEMA_VERSION = 1
 
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number"}
+# The JSON types each kind accepts: an integer is also a float, a boolean is
+# neither, and nothing else converts.
+_ACCEPTS = {dict: {dict}, list: {list}, str: {str}, int: {int}, float: {float, int}}
+
 
 class FormatError(ValueError):
-    """A file does not match the expected schema."""
+    """A JSON input (a run config or a dictionary export) or a query CSV does
+    not match its schema; the message names the field path or line."""
+
+
+def _conform(values: list, kind) -> list | None:
+    """values as kind, integers made floats where kind is float; None when
+    one of them is not of kind. One pass over the set of their types."""
+    if type(kind) is GenericAlias:  # tuple[X, ...]: JSON lists of X
+        item = kind.__args__[0]
+        if {type(v) for v in values} <= {list} and {type(x) for v in values for x in v} <= _ACCEPTS[item]:
+            return [tuple(map(item, v)) for v in values]
+        return None
+    if {type(v) for v in values} <= _ACCEPTS[kind]:
+        return list(map(float, values)) if kind is float else values
+    return None
+
+
+def _object(data: Any, path: str) -> dict:
+    if type(data) is not dict:
+        raise FormatError(f"{path}: expected an object, got {type(data).__name__}")
+    return data
+
+
+def field(data: dict, path: str, key: str, kind, default: Any = MISSING) -> Any:
+    """data[key] as kind, or default when the key is absent (required when
+    there is no default). kind is a JSON type or tuple[X, ...] for a list.
+
+    Nothing is cast: an integer is also accepted as a float (and becomes
+    one), a boolean is neither, and a string is never a number.
+    """
+    where = f"{path}.{key}" if path else key
+    if key not in data:
+        if default is MISSING:
+            raise FormatError(f"{where}: required field is missing")
+        return default
+    converted = _conform([data[key]], kind)
+    if converted is None:
+        expected = (
+            f"a list with each item {_KINDS[kind.__args__[0]]}"
+            if type(kind) is GenericAlias else _KINDS[kind]
+        )
+        raise FormatError(f"{where}: expected {expected}, got {json.dumps(data[key])}")
+    return converted[0]
+
+
+def column(rows: list, path: str, key: str, kind) -> list:
+    """field(rows[i], f"{path}[{i}]", key, kind) for every row, type-checked
+    in one pass rather than a call per row."""
+    values = [row.get(key, MISSING) if type(row) is dict else MISSING for row in rows]
+    converted = _conform(values, kind)
+    if converted is None:  # row by row, so that the first bad row names itself
+        converted = [
+            field(_object(row, f"{path}[{i}]"), f"{path}[{i}]", key, kind)
+            for i, row in enumerate(rows)
+        ]
+    return converted
+
+
+def section(data: dict, path: str, key: str, kind=dict, required: bool = True):
+    """data[key], a JSON object (or list, by kind); None when it is absent
+    or null and not required."""
+    if data.get(key) is None and not required:
+        return None
+    return field(data, path, key, kind)
+
+
+def read(cls, data: Any, path: str, defaults: dict[str, Any] | None = None, **given):
+    """An instance of the dataclass cls from the JSON object at path.
+
+    Each field not given is the key of its name, checked against the
+    field's type hint; an absent key takes its value from defaults, then
+    from the field's own default. The class's own checks name the path.
+    """
+    _object(data, path)
+    hints = get_type_hints(cls)
+    defaults = defaults or {}
+    values = {
+        f.name: field(data, path, f.name, hints[f.name], defaults.get(f.name, f.default))
+        for f in fields(cls)
+        if f.name not in given
+    }
+    try:
+        return cls(**values, **given)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def space_to_dict(space: SearchSpace) -> dict[str, Any]:
@@ -37,18 +130,17 @@ def space_to_dict(space: SearchSpace) -> dict[str, Any]:
 
 
 def space_from_dict(data: dict[str, Any]) -> SearchSpace:
-    try:
-        coeffs = tuple(
-            ParameterRange(float(r["lower"]), float(r["upper"]), float(r["step"]))
-            for r in data["coefficients"]
-        )
-        sample = data["sample_size"]
-        sample_range = ParameterRange(
-            float(sample["lower"]), float(sample["upper"]), float(sample["step"])
-        )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed search_space section: {exc}") from None
-    return SearchSpace(coefficient_ranges=coeffs, sample_size_range=sample_range)
+    path = "search_space"
+    coefficients = section(data, path, "coefficients", list)
+    return read(
+        SearchSpace,
+        data,
+        path,
+        coefficient_ranges=tuple(
+            read(ParameterRange, r, f"{path}.coefficients[{j}]") for j, r in enumerate(coefficients)
+        ),
+        sample_size_range=read(ParameterRange, section(data, path, "sample_size"), f"{path}.sample_size"),
+    )
 
 
 def dictionary_csv_header(space: SearchSpace) -> list[str]:
@@ -91,38 +183,71 @@ def export_dictionary_json(
 def load_dictionary_json(path) -> tuple[PowerDictionary, SearchSpace, dict[str, Any]]:
     """Dictionary, search space and metadata from a JSON export.
 
-    Every entry must name a grid point of the export's own search space.
+    Every entry must name a grid point of the export's own search space, and
+    its values must be that point's decoded coordinates.
     """
     with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: expected a JSON object, got {type(payload).__name__}")
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise FormatError(
-            f"unsupported schema_version {payload.get('schema_version')!r} in {path}"
-        )
-    for key, kind in (("search_space", dict), ("entries", list)):
-        if not isinstance(payload.get(key), kind):
-            raise FormatError(f"{path}: missing or malformed {key!r} section")
-    space = space_from_dict(payload["search_space"])
-    counts = space.grid_counts
+        try:
+            return _dictionary_from_dict(json.load(fh))
+        except ValueError as exc:  # a FormatError, or not JSON at all
+            raise FormatError(f"{path}: {exc}") from None
+
+
+def _dictionary_from_dict(payload: Any) -> tuple[PowerDictionary, SearchSpace, dict[str, Any]]:
+    _object(payload, "top level")
+    version = field(payload, "", "schema_version", int)
+    if version != SCHEMA_VERSION:
+        raise FormatError(f"schema_version: unsupported {version}, expected {SCHEMA_VERSION}")
+    space = space_from_dict(section(payload, "", "search_space"))
+    entries = section(payload, "", "entries", list)
+    genes = column(entries, "entries", "genes", tuple[int, ...])
+    powers = column(entries, "entries", "power", float)
+    _check_decoded(space, genes, column(entries, "entries", "values", tuple[float, ...]))
     dictionary = PowerDictionary()
-    for number, entry in enumerate(payload["entries"], start=1):
+    for number, (chromosome_genes, power) in enumerate(zip(genes, powers)):
         try:
-            genes = tuple(int(g) for g in entry["genes"])
-            power = float(entry["power"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: entry {number} is malformed: {exc!r}") from None
-        if len(genes) != len(counts) or not all(0 <= g < c for g, c in zip(genes, counts)):
-            raise FormatError(
-                f"{path}: entry {number} has genes {list(genes)}, "
-                f"off the {' x '.join(map(str, counts))} grid"
-            )
-        try:
-            dictionary.insert(Chromosome(genes), power)
+            dictionary.insert(Chromosome(chromosome_genes), power)
         except ValueError as exc:
-            raise FormatError(f"{path}: entry {number}: {exc}") from None
-    return dictionary, space, payload.get("metadata", {})
+            raise FormatError(f"entries[{number}]: {exc}") from None
+    return dictionary, space, section(payload, "", "metadata", required=False) or {}
+
+
+def _check_decoded(space: SearchSpace, genes: list, values: list) -> None:
+    """Name the first entry whose genes are off the grid or whose values are
+    not its genes decoded, within 1e-9 of a step.
+
+    Checked as arrays, in place, and in a call of its own so that they are
+    gone before the dictionary is built: decoding entry by entry would cost
+    as much time as the load, and keeping the arrays would raise its peak.
+    """
+    dimension = space.dimension
+    for number, (chromosome_genes, coordinates) in enumerate(zip(genes, values)):
+        if not len(chromosome_genes) == len(coordinates) == dimension:
+            raise FormatError(f"entries[{number}]: expected {dimension} genes and values")
+    grid = np.array(genes, dtype=float).reshape(-1, dimension)
+    counts = space.grid_counts
+    off_grid = np.any((grid < 0) | (grid >= counts), axis=1)
+    if off_grid.any():
+        first = int(np.argmax(off_grid))
+        raise FormatError(
+            f"entries[{first}]: genes {list(genes[first])} are off the "
+            f"{' x '.join(map(str, counts))} grid"
+        )
+    steps = np.array([r.step for r in space.ranges])
+    decoded = grid  # in place
+    decoded *= steps
+    decoded += [r.lower for r in space.ranges]
+    np.rint(decoded[:, -1], out=decoded[:, -1])
+    deviation = np.array(values).reshape(decoded.shape)
+    deviation -= decoded
+    # Not-within rather than beyond, so that a NaN value fails too.
+    misplaced = ~np.all(np.abs(deviation, out=deviation) <= 1e-9 * steps, axis=1)
+    if misplaced.any():
+        first = int(np.argmax(misplaced))
+        raise FormatError(
+            f"entries[{first}]: values {list(values[first])} are not "
+            f"the decoded genes {decoded[first].tolist()}"
+        )
 
 
 def load_queries_csv(path, space: SearchSpace) -> tuple[list[str], list[tuple[float, ...]]]:

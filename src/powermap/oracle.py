@@ -199,22 +199,12 @@ def _redraw(point: _Point, key: tuple[int, ...]) -> bool:
     )
 
 
-@dataclass
-class QueryCounter:
-    """Monotone count of oracle calls; increments exactly once per estimate."""
-
-    total_queries: int = 0
-
-    def increment(self, by: int = 1) -> None:
-        self.total_queries += by
-
-
 class PowerOracle:
     """Counting front-end over estimate_power, optionally fanned out to
     worker processes.
 
     Because each estimate depends only on (master_seed, chromosome), results
-    are identical for any worker count; the counter is incremented at the
+    are identical for any worker count; total_queries is incremented at the
     submission barrier, once per chromosome.
     """
 
@@ -233,20 +223,16 @@ class PowerOracle:
         self.config = config
         self.master_seed = master_seed
         self.worker_count = worker_count
-        self.counter = QueryCounter()
+        self.total_queries = 0
         self._executor: ProcessPoolExecutor | None = None
 
-    @property
-    def total_queries(self) -> int:
-        return self.counter.total_queries
-
     def evaluate(self, chromosome: Chromosome) -> float:
-        self.counter.increment()
+        self.total_queries += 1
         return estimate_power(chromosome, self.space, self.config, self.master_seed)
 
     def evaluate_many(self, chromosomes: Sequence[Chromosome]) -> list[float]:
         """Estimates in input order; one query counted per chromosome."""
-        self.counter.increment(len(chromosomes))
+        self.total_queries += len(chromosomes)
         func = partial(
             estimate_power,
             space=self.space,

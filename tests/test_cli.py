@@ -1,10 +1,14 @@
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
 from powermap.cli import main
+from powermap.config import load_run_config, resolved_config_dict
 from powermap.io import load_dictionary_json
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, **overrides):
@@ -85,6 +89,70 @@ class TestLearn:
             config.write_text("[1, 2]")
         assert main(["learn", "-c", str(config), "--nsim", "5", "--workers", "1"]) == 2
         assert named in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "named, section, value",
+        [
+            ("predictor.k", "predictor", {"k": 2.9}),
+            ("oracle.nsim", "oracle", {"nsim": True}),
+            ("ga.mutation_prob", "ga", {"mutation_prob": True}),
+            ("worker_count", "worker_count", 1.7),
+            ("oracle.scheme", "oracle", {"scheme": 5}),
+            ("ga.iterations", "ga", {"iterations": "3"}),
+            (
+                "oracle.test.tested_indices",
+                "oracle",
+                {"test": {"kind": "t_single", "tested_indices": [1.9]}},
+            ),
+            (
+                "search_space.coefficients[0].lower",
+                "search_space",
+                {
+                    "coefficients": [{"lower": "0.1", "upper": 0.5, "step": 0.1}],
+                    "sample_size": {"lower": 20, "upper": 80, "step": 20},
+                },
+            ),
+        ],
+    )
+    def test_no_coercion_exit_2_naming_field(self, tmp_path, capsys, named, section, value):
+        config = write_config(tmp_path, **{section: value})
+        assert main(["learn", "-c", str(config)]) == 2
+        assert f"{named}: expected" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestResolvedConfig:
+    def test_desk_export_metadata_frozen(self):
+        # The config block every desk export embeds, key order included.
+        expected = {
+            "search_space": {
+                "coefficients": [
+                    {"lower": 0.1, "upper": 0.3, "step": 0.05},
+                    {"lower": 0.3, "upper": 0.9, "step": 0.05},
+                ],
+                "sample_size": {"lower": 50.0, "upper": 200.0, "step": 5.0},
+            },
+            "oracle": {
+                "nsim": 200,
+                "alpha": 0.05,
+                "sigma2": 1.0,
+                "scheme": "normal",
+                "test": {"kind": "t_single", "tested_indices": [1]},
+            },
+            "predictor": {"k": 5, "metric": "normalized_euclidean"},
+            "master_seed": 1,
+            "oracle_seed": 2022,
+            "output": {"directory": "runs/desk", "prefix": "desk"},
+            "ga": {
+                "population_size": 200,
+                "iterations": 30,
+                "selection_lambda": 1.0,
+                "mutation_prob": 0.05,
+            },
+        }
+        resolved = resolved_config_dict(load_run_config(CONFIGS / "desk.json"))
+        assert json.dumps(resolved) == json.dumps(expected)
 
 
 class TestBruteForce:
@@ -182,6 +250,17 @@ class TestPredict:
         assert self._predict_from(tmp_path, payload) == 2
         assert "entries" in capsys.readouterr().err
 
+    def test_dictionary_not_json_exits_2_naming_it(self, tmp_path, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json")
+        queries = tmp_path / "q.csv"
+        queries.write_text("theta_1,n\n")
+        assert main([
+            "predict", "--dictionary", str(broken),
+            "--queries", str(queries), "--out", str(tmp_path / "pred.csv"),
+        ]) == 2
+        assert str(broken) in capsys.readouterr().err
+
     def test_off_grid_genes_exit_2(self, tmp_path, brute_export, capsys):
         payload = json.loads(brute_export.read_text())
         payload["entries"] = [{"genes": [99, 99], "values": [0.3, 40.0], "power": 0.5}]
@@ -249,6 +328,21 @@ class TestEvaluate:
         # learn and brute share oracle_seed 77: overlapping points agree exactly
         assert payload["rmse_seen_only"] == 0.0
         assert 0.0 < payload["query_ratio"] <= 1.0
+
+    @pytest.mark.parametrize(
+        "metadata, named",
+        [(["x"], "metadata: expected an object"), ({"oracle_queries": True}, "metadata.oracle_queries")],
+    )
+    def test_malformed_metadata_exits_2(self, tmp_path, capsys, metadata, named):
+        config = write_config(tmp_path)
+        main(["brute-force", "-c", str(config), "--prefix", "brute"])
+        brute = tmp_path / "out" / "brute_dictionary.json"
+        payload = json.loads(brute.read_text())
+        payload["metadata"] = metadata
+        learned = tmp_path / "learned.json"
+        learned.write_text(json.dumps(payload))
+        assert main(["evaluate", "--ga", str(learned), "--brute", str(brute)]) == 2
+        assert named in capsys.readouterr().err
 
     def test_mismatched_spaces_exit_2(self, tmp_path, capsys):
         config_a = write_config(tmp_path)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +36,9 @@ class TestParameterRange:
             ParameterRange(0.0, 1.0, 0.0)
         with pytest.raises(GridError):
             ParameterRange(2.0, 1.0, 0.1)
+        for lower, upper, step in ((0.1, math.inf, 0.1), (math.nan, 0.5, 0.1), (0.1, 1e300, 1e-300)):
+            with pytest.raises(GridError, match="not a finite grid"):
+                ParameterRange(lower, upper, step)
 
 
 class TestDecode:

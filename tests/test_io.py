@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -69,6 +70,27 @@ class TestJsonDictionary:
         payload["schema_version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="schema_version"):
+            load_dictionary_json(path)
+
+
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ({"genes": [1.9, 5, 10]}, "entries[1].genes: expected a list with each item an integer"),
+            ({"genes": [True, 5, 10]}, "entries[1].genes: expected a list with each item an integer"),
+            ({"power": "0.5"}, "entries[1].power: expected a number"),
+            ({"values": [0.2, 0.6, 100.0]}, "entries[1]: values [0.2, 0.6, 100.0] are not"),
+            ({"values": [0.2, 0.55, float("nan")]}, "entries[1]: values"),
+            ({"values": [0.2, 0.55]}, "entries[1]: expected 3 genes and values"),
+        ],
+    )
+    def test_malformed_entry_names_it(self, tmp_path, entry, named):
+        path = tmp_path / "dict.json"
+        export_dictionary_json(path, sample_dictionary(), sample_space(), {})
+        payload = json.loads(path.read_text())
+        payload["entries"][1].update(entry)  # genes (2, 5, 10): values [0.2, 0.55, 100.0]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=re.escape(named)):
             load_dictionary_json(path)
 
 
