@@ -22,7 +22,7 @@ from .ga import (
     selection_probabilities,
 )
 from .grid import Chromosome, GridError, ParameterRange, SearchSpace
-from .knn import Neighbor, NeighborQuery, QueryError, k_nearest, predict_power
+from .knn import Neighbor, NeighborQuery, QueryError, k_nearest
 from .oracle import OracleConfig, OracleError, PowerOracle, estimate_power
 from .regression import (
     DegenerateFitError,
@@ -74,7 +74,6 @@ __all__ = [
     "k_nearest",
     "mutate",
     "ols_fit",
-    "predict_power",
     "regularized_incomplete_beta",
     "reproduce",
     "rmse",

@@ -34,6 +34,8 @@ class GaConfig:
             )
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if not np.isfinite(self.selection_lambda):
+            raise ValueError(f"selection_lambda must be finite, got {self.selection_lambda}")
         if not 0.0 <= self.mutation_prob <= 1.0:
             raise ValueError(f"mutation_prob must be in [0, 1], got {self.mutation_prob}")
         if self.master_seed < 0:

@@ -169,12 +169,3 @@ def k_nearest(
     distance, ties broken by gene order."""
     return DictionaryIndex(dictionary, space).nearest(query)
 
-
-def predict_power(
-    dictionary: PowerDictionary, space: SearchSpace, query: NeighborQuery
-) -> float:
-    """Unweighted mean power of the k nearest stored entries. Each call
-    builds a DictionaryIndex: to query repeatedly, build one and call its
-    predict with all the points."""
-    index = DictionaryIndex(dictionary, space)
-    return float(index.predict([query.point], query.k, query.metric)[0])

@@ -6,13 +6,19 @@ seeded by the master seed and the chromosome's integer coordinates, so
 repeated queries agree bit-for-bit regardless of call order, worker placement,
 or how the replications are chunked.
 
-Each chunk of replications is fitted with one batched QR of the augmented
-design [intercept, untested slopes, tested slopes, y]. Its R factor carries
-both tests: R[-1, -1]^2 is the full model's SSE, and the squared norm of the
-tested rows of the last column is the rise in SSE when the tested slopes are
-dropped. A single-slope t test is the one-slope F test (t^2 = F(1, df)), so
-one cached critical value per (slopes tested, df, alpha) decides every
-replication.
+Each replication is fitted from its Gram matrix. A chunk of replications
+becomes the designs [intercept, untested slopes, tested slopes, e], with the
+standard-normal noise e in the last column, and one batched matmul turns them
+into (p+2) x (p+2) Gram matrices. A block of these is factored by one
+Cholesky loop over the p+2 columns, each step vectorised over the block; the
+factor R is the R of a QR of the design. Since y = X b + s e (s^2 = sigma2),
+y's column of R is R[:, slopes] @ b + s R[:, e]. So the full model's SSE is
+(s R_ee)^2, free of beta, and the squared norm of the tested rows of y's
+column is the rise in SSE when the tested slopes are dropped. The Gram holds
+the noise, not y, so its conditioning depends on the design alone, not on
+beta or sigma2. A single-slope t test is the one-slope F test
+(t^2 = F(1, df)), so one cached critical value per (slopes tested, df, alpha)
+decides every replication.
 """
 
 from __future__ import annotations
@@ -29,12 +35,25 @@ from .regression import REGRESSOR_SCHEMES, TestSpec
 from .special import f_cdf
 
 _MAX_REDRAWS = 10
-# Bytes of augmented design per chunk of replications: bounds the working set
-# for any n and nsim without changing any value.
+# Bytes of design per chunk of replications, the operand of one batched
+# matmul: bounds that working set for any n without changing any value.
 _CHUNK_BYTES = 128 * 1024
-# A design column is linearly dependent when its R diagonal is this small
-# relative to the column norm (the rule of regression.ols_fit).
-_RANK_TOL = 1e-10
+# Gram matrices per Cholesky block: bounds the Gram buffer for any nsim
+# without changing any value.
+_BLOCK_ROWS = 4096
+# A slope column is degenerate when its Cholesky pivot d_j is at most
+# (_PIVOT_TOL + Gram rounding) * G_jj. Here d_j / G_jj is the squared sine of
+# the angle between column j and the span of the j columns before it. Each
+# Gram entry sums n products and the pivot takes up to p+2 more steps, so
+# rounding alone moves d_j by up to about (n + p + 2) * eps * G_jj: an exactly
+# duplicated column leaves a pivot of that size, not 0, and an F built on it
+# is rounding noise. The QR rule of regression.ols_fit (R_jj^2 <= 1e-20 of
+# the column's squared norm) sits below that rounding and would let it
+# through. _PIVOT_TOL = 1e-10 flags angles under 1e-5 radians, where a pivot
+# keeps at most ~6 correct digits (n * eps / 1e-10 relative error). A drawn
+# design comes that close to collinear with probability of order
+# 1e-10 ** ((n - j) / 2), at most ~1e-10 per replication.
+_PIVOT_TOL = 1e-10
 
 
 class OracleError(RuntimeError):
@@ -90,7 +109,7 @@ class _Point:
     order: list[int]  # regressor behind each slope column: untested, then tested
     beta: np.ndarray  # slopes in column order
     tested: int  # number of tested slopes, the last slope columns
-    sqrt_sigma2: float
+    sigma: float  # noise standard deviation, sqrt(sigma2)
     critical: float  # F_{1-alpha}(tested, n - p - 1)
 
     @property
@@ -101,10 +120,9 @@ class _Point:
         return self.n * (1 + per_row)
 
 
-def _rejections(draws: np.ndarray, point: _Point) -> tuple[np.ndarray, np.ndarray]:
-    """Rejection indicators for a block of replications, one row of standard
-    normals each, and a mask of the rows whose fit is degenerate: a
-    rank-deficient design or a zero SSE.
+def _gram(draws: np.ndarray, point: _Point) -> np.ndarray:
+    """Gram matrices of the designs [intercept, slopes in column order, e],
+    one per row of standard normals, as a (p+2, p+2, rows) array.
 
     Noise and regressors come from each row in the order
     regression.generate_mlr_sample draws them from its stream.
@@ -117,24 +135,46 @@ def _rejections(draws: np.ndarray, point: _Point) -> tuple[np.ndarray, np.ndarra
         x1[: n // 2] = -1.0
         x2 = draws[:, n:]
         regressors = (x1, x2, x1 * x2)
-    # One matrix per replication, stored column by column:
-    # [intercept, slopes in column order, y].
+    # One design per replication, stored column by column.
     columns = np.empty((rows, p + 2, n))
     columns[:, 0] = 1.0
     for column, j in enumerate(point.order, start=1):
         columns[:, column] = regressors[j]
-    np.matmul(point.beta, columns[:, 1:-1], out=columns[:, -1])
-    columns[:, -1] += draws[:, :n] * point.sqrt_sigma2
-    squares = np.linalg.qr(columns.transpose(0, 2, 1), mode="r") ** 2
-    # Q is orthogonal, so each column of R has the norm of its design column.
-    norms2 = np.sum(squares, axis=1)
-    diag2 = np.diagonal(squares, axis1=1, axis2=2)
-    sse = diag2[:, -1]
-    degenerate = np.any(diag2[:, :-1] <= _RANK_TOL**2 * norms2[:, :-1], axis=1) | (sse == 0.0)
-    rise = np.sum(squares[:, p + 1 - point.tested : p + 1, -1], axis=1)
+    columns[:, -1] = draws[:, :n]
+    return np.matmul(columns, columns.transpose(0, 2, 1)).transpose(1, 2, 0)
+
+
+def _rejections(gram: np.ndarray, point: _Point) -> tuple[np.ndarray, np.ndarray]:
+    """Rejection indicators for a (p+2, p+2, rows) block of Gram matrices,
+    and a mask of the rows whose fit is degenerate: a slope column within
+    _PIVOT_TOL of the span of the columns before it, or a zero SSE.
+
+    Factors the block in place, right-looking: step j leaves row j of the
+    Cholesky factor R in gram[j, j:] and the Schur complement in
+    gram[j+1:, j+1:].
+    """
+    size, p = len(gram), len(point.beta)
+    limit = (_PIVOT_TOL + (point.n + size) * np.finfo(float).eps) * np.diagonal(gram)
+    degenerate = np.zeros(gram.shape[2], dtype=bool)
+    for j in range(size - 1):
+        bad = gram[j, j] <= limit[:, j]
+        degenerate |= bad
+        # A degenerate row is redrawn; any positive pivot keeps it finite.
+        gram[j, j] = np.sqrt(np.where(bad, 1.0, gram[j, j]))
+        gram[j, j + 1 :] /= gram[j, j]
+        gram[j + 1 :, j + 1 :] -= gram[j, j + 1 :, None] * gram[j, None, j + 1 :]
+    degenerate |= gram[-1, -1] <= 0.0
+    sse = point.sigma**2 * gram[-1, -1]
+    # Tested rows of y's column of R: R[t, t:p+1] @ b[t:] + s R[t, e], with
+    # b = (0, slopes in column order).
+    b = np.concatenate(([0.0], point.beta))
+    rise = np.zeros(len(degenerate))
+    for t in range(p + 1 - point.tested, p + 1):
+        y = b[t:] @ gram[t, t : p + 1] + point.sigma * gram[t, -1]
+        rise += y * y
     # F = (rise / tested) / (sse / df) > critical, kept free of division so
     # that a zero SSE needs no special case.
-    return rise * (n - p - 1) > point.critical * point.tested * sse, degenerate
+    return rise * (point.n - p - 1) > point.critical * point.tested * sse, degenerate
 
 
 def estimate_power(
@@ -171,15 +211,21 @@ def estimate_power(
         order=order,
         beta=beta[order],
         tested=len(tested),
-        sqrt_sigma2=float(np.sqrt(config.sigma2)),
+        sigma=float(np.sqrt(config.sigma2)),
         critical=critical_value(len(tested), n - p - 1, config.alpha),
     )
-    chunk = max(1, _CHUNK_BYTES // (8 * n * (p + 2)))
+    size = p + 2
+    chunk = max(1, _CHUNK_BYTES // (8 * n * size))
+    block = min(_BLOCK_ROWS, config.nsim)
+    gram = np.empty((size, size, block))
     rng = np.random.default_rng(np.random.SeedSequence((master_seed, *chromosome.genes)))
     rejections = 0
-    for start in range(0, config.nsim, chunk):
-        rows = min(chunk, config.nsim - start)
-        reject, degenerate = _rejections(rng.standard_normal((rows, point.width)), point)
+    for start in range(0, config.nsim, block):
+        rows = min(block, config.nsim - start)
+        for lo in range(0, rows, chunk):
+            hi = min(lo + chunk, rows)
+            gram[..., lo:hi] = _gram(rng.standard_normal((hi - lo, point.width)), point)
+        reject, degenerate = _rejections(gram[..., :rows], point)
         for row in np.flatnonzero(degenerate):
             reject[row] = _redraw(point, (master_seed, *chromosome.genes, start + int(row)))
         rejections += int(np.count_nonzero(reject))
@@ -190,7 +236,7 @@ def _redraw(point: _Point, key: tuple[int, ...]) -> bool:
     """Rejection indicator of a degenerate replication's replacement."""
     for attempt in range(1, _MAX_REDRAWS + 1):
         rng = np.random.default_rng(np.random.SeedSequence((*key, attempt)))
-        reject, degenerate = _rejections(rng.standard_normal((1, point.width)), point)
+        reject, degenerate = _rejections(_gram(rng.standard_normal((1, point.width)), point), point)
         if not degenerate[0]:
             return bool(reject[0])
     raise OracleError(

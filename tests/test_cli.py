@@ -121,6 +121,16 @@ class TestLearn:
         assert f"{named}: expected" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("literal, value", [("NaN", float("nan")), ("Infinity", float("inf"))])
+    def test_non_finite_selection_lambda_exits_2_before_queries(
+        self, tmp_path, capsys, literal, value
+    ):
+        config = write_config(tmp_path, ga={"selection_lambda": value})
+        assert f'"selection_lambda": {literal}' in config.read_text()
+        assert main(["learn", "-c", str(config)]) == 2
+        assert "ga: selection_lambda must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestResolvedConfig:
     def test_desk_export_metadata_frozen(self):
@@ -269,7 +279,7 @@ class TestPredict:
 
     def test_batch_matches_library_predictions(self, tmp_path, brute_export):
         import numpy as np
-        from powermap import NeighborQuery, predict_power
+        from powermap.knn import DictionaryIndex
 
         d, space, _ = load_dictionary_json(brute_export)
         rng = np.random.default_rng(0)
@@ -288,8 +298,8 @@ class TestPredict:
         ]) == 0
         lines = out.read_text().strip().splitlines()[1:]
         assert len(lines) == 20
-        for line, point in zip(lines, points):
-            want = predict_power(d, space, NeighborQuery(point=point, k=3))
+        wants = DictionaryIndex(d, space).predict(points, 3, "normalized_euclidean")
+        for line, want in zip(lines, wants):
             assert float(line.split(",")[-1]) == pytest.approx(want, abs=5e-7)
 
 

@@ -12,7 +12,6 @@ from powermap import (
     QueryError,
     SearchSpace,
     k_nearest,
-    predict_power,
 )
 from powermap import knn
 from powermap.knn import DictionaryIndex
@@ -163,13 +162,14 @@ class TestPredictPower:
         space = make_space()
         d = fill(space, {(2, 3): 0.62, (7, 8): 0.9})
         point = tuple(space.decode(Chromosome((2, 3))))
-        assert predict_power(d, space, NeighborQuery(point=point, k=1)) == 0.62
+        (got,) = DictionaryIndex(d, space).predict([point], 1, "normalized_euclidean")
+        assert got == 0.62
 
     def test_unweighted_mean(self):
         space = make_space()
         d = fill(space, {(0, 0): 0.2, (1, 0): 0.4, (0, 1): 0.9})
         point = tuple(space.decode(Chromosome((0, 0))))
-        got = predict_power(d, space, NeighborQuery(point=point, k=3))
+        (got,) = DictionaryIndex(d, space).predict([point], 3, "normalized_euclidean")
         assert got == pytest.approx((0.2 + 0.4 + 0.9) / 3)
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 15))
@@ -185,7 +185,7 @@ class TestPredictPower:
         point = (float(rng.uniform(0.1, 0.9)), float(rng.uniform(50, 500)))
         query = NeighborQuery(point=point, k=k)
         neighbors = k_nearest(d, space, query)
-        prediction = predict_power(d, space, query)
+        (prediction,) = DictionaryIndex(d, space).predict([point], k, query.metric)
         powers = [nb.power for nb in neighbors]
         assert min(powers) - 1e-12 <= prediction <= max(powers) + 1e-12
 

@@ -233,6 +233,20 @@ KERNEL_CASES = [
         OracleConfig(200, 0.05, 2.5, TestSpec((1, 2), "f_joint"), "normal"),
         (3, 7, 12),
     ),
+    # the smallest residual df: n = p + 2, df = 1
+    (point_space([0.9, 0.5], 4), t_config(200), (0, 0, 0)),
+    (
+        point_space([0.2, 0.6, 0.5], 5),
+        OracleConfig(200, 0.05, 1.0, TestSpec((3,), "f_joint"), "experiment"),
+        (0, 0, 0, 0),
+    ),
+    # sigma2 = 1e-8: a tested effect of 0.2 sigma beside an untested slope
+    # 9,000 sigma wide
+    (
+        point_space([2e-5, 0.9], 100),
+        OracleConfig(200, 0.05, 1e-8, TestSpec((1,), "t_single"), "normal"),
+        (0, 0, 0),
+    ),
 ]
 
 
@@ -246,10 +260,13 @@ class TestBatchedKernel:
     def test_chunking_does_not_change_values(self, space, config, genes, monkeypatch):
         c = Chromosome(genes)
         base = estimate_power(c, space, config, 3)
-        monkeypatch.setattr(oracle_mod, "_CHUNK_BYTES", 1)  # one replication
-        assert estimate_power(c, space, config, 3) == base
-        monkeypatch.setattr(oracle_mod, "_CHUNK_BYTES", 1 << 40)  # all of nsim
-        assert estimate_power(c, space, config, 3) == base
+        # One replication and all of nsim, per matmul chunk and per
+        # Cholesky block.
+        for chunk_bytes in (1, 1 << 40):
+            for block_rows in (1, 1 << 40):
+                monkeypatch.setattr(oracle_mod, "_CHUNK_BYTES", chunk_bytes)
+                monkeypatch.setattr(oracle_mod, "_BLOCK_ROWS", block_rows)
+                assert estimate_power(c, space, config, 3) == base
 
     def test_critical_value_inverts_f_cdf(self):
         for k, df in ((1, 98), (3, 46), (2, 1)):
@@ -257,22 +274,48 @@ class TestBatchedKernel:
             assert f_cdf(crit, k, df) == pytest.approx(0.95, abs=1e-12)
 
 
-def _zero_regressors(rows_to_break):
-    """Wrap the kernel so that the replications whose first noise draw is in
-    rows_to_break get all-zero regressors (a rank-deficient design)."""
-    real = oracle_mod._rejections
+def _edited_regressors(rows_to_break, edit):
+    """Wrap the Gram kernel so that the replications whose first noise draw
+    is in rows_to_break (all of them, for None) have their regressors, an
+    (rows, n, p) array under the normal scheme, changed in place by edit."""
+    real = oracle_mod._gram
 
     def broken(draws, point):
         draws = draws.copy()
         hit = np.isin(draws[:, 0], rows_to_break) if rows_to_break is not None else slice(None)
-        draws[hit, point.n :] = 0.0
+        regressors = draws[:, point.n :].reshape(len(draws), point.n, -1)
+        edited = regressors[hit]
+        edit(edited)
+        regressors[hit] = edited
         return real(draws, point)
 
     return broken
 
 
+def _zero_regressors(rows_to_break):
+    """All-zero regressors: a rank-deficient design."""
+    return _edited_regressors(rows_to_break, lambda x: x.fill(0.0))
+
+
+def _duplicate_regressor(rows_to_break):
+    """Regressor 2 equal to regressor 1: a design whose Gram pivot is
+    rounding, not zero."""
+
+    def edit(x):
+        x[:, :, 1] = x[:, :, 0]
+
+    return _edited_regressors(rows_to_break, edit)
+
+
 class TestDegenerateDraws:
     def test_degenerate_row_is_redrawn_from_its_own_stream(self, monkeypatch):
+        self._check_redrawn(_zero_regressors, monkeypatch)
+
+    def test_duplicated_regressor_is_redrawn(self, monkeypatch):
+        self._check_redrawn(_duplicate_regressor, monkeypatch)
+
+    @staticmethod
+    def _check_redrawn(breaker, monkeypatch):
         space, config, genes, seed = desk_space(), t_config(50), (2, 5, 10), 4
         c = Chromosome(genes)
         rows = (3, 17, 40)
@@ -280,7 +323,7 @@ class TestDegenerateDraws:
         draws = np.random.default_rng(np.random.SeedSequence((seed, *genes))).standard_normal(
             (config.nsim, n * 3)  # n noise draws, then n x 2 regressors
         )
-        monkeypatch.setattr(oracle_mod, "_rejections", _zero_regressors(draws[rows, 0]))
+        monkeypatch.setattr(oracle_mod, "_gram", breaker(draws[rows, 0]))
         got = estimate_power(c, space, config, seed)
         replacements = {
             row: np.random.default_rng(np.random.SeedSequence((seed, *genes, row, 1)))
@@ -288,9 +331,10 @@ class TestDegenerateDraws:
         }
         assert got == scalar_power(c, space, config, seed, replace=replacements)
         monkeypatch.setattr(oracle_mod, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(oracle_mod, "_BLOCK_ROWS", 1)
         assert estimate_power(c, space, config, seed) == got
 
     def test_always_degenerate_raises(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "_rejections", _zero_regressors(None))
+        monkeypatch.setattr(oracle_mod, "_gram", _zero_regressors(None))
         with pytest.raises(OracleError, match="degenerate"):
             estimate_power(Chromosome((0, 0, 0)), desk_space(), t_config(20), 1)
