@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Time each layer of powermap on its own, and the desk runs end to end.
 
-Writes BENCH_<label>.json at the repo root with the medians of
---repeats runs per layer (--e2e-repeats for the end-to-end runs), the git
-revision, a digest of src/powermap, the Python and numpy versions, the CPUs
-available, and this process's peak RSS. Seeds and inputs are fixed, so two
-checkouts measured on one machine compare layer by layer.
+Writes BENCH_<label>.json at the repo root with the medians of REPEATS
+runs per layer (E2E_REPEATS for the end-to-end runs), the git revision, the
+Python and numpy versions, the CPUs available, and this process's peak RSS.
+Seeds and inputs are fixed, so two checkouts measured on one machine compare
+layer by layer. Run it on a clean checkout of a commit, so that git_rev names
+the measured code.
 
 Layers:
   oracle.desk_point_ms.n*         one estimate_power on the desk grid
@@ -28,7 +29,6 @@ Run from a checkout (it imports that checkout's src/):
 
 import argparse
 import contextlib
-import hashlib
 import io
 import json
 import os
@@ -64,13 +64,13 @@ from powermap.config import load_run_config  # noqa: E402
 from powermap.knn import DictionaryIndex  # noqa: E402
 
 DESK = ROOT / "configs" / "desk.json"
+REPEATS = 15  # runs per layer
+E2E_REPEATS = 3  # runs per end-to-end command
 
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
-    parser.add_argument("--repeats", type=int, default=15, help="runs per layer")
-    parser.add_argument("--e2e-repeats", type=int, default=3, help="runs per end-to-end command")
     return parser.parse_args(argv)
 
 
@@ -177,19 +177,9 @@ def end_to_end(repeats: int, scratch: Path) -> dict:
 
 
 def provenance() -> dict:
-    def git(*args):
-        result = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
-        return result.stdout.strip() if result.returncode == 0 else None
-
-    digest = hashlib.sha256()
-    for path in sorted((ROOT / "src" / "powermap").glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    changes = git("status", "--porcelain", "--untracked-files=no")
+    result = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
     return {
-        "git_rev": git("rev-parse", "HEAD"),
-        # Tracked files differ from git_rev: the measured code is uncommitted.
-        "git_dirty": None if changes is None else changes != "",
-        "src_sha256": digest.hexdigest(),
+        "git_rev": result.stdout.strip() if result.returncode == 0 else None,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
@@ -201,16 +191,16 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         scratch = Path(tmp)
         layers = {
-            **oracle_layers(args.repeats),
-            **ga_layer(args.repeats),
-            **knn_and_io_layers(args.repeats, scratch),
-            **end_to_end(args.e2e_repeats, scratch),
+            **oracle_layers(REPEATS),
+            **ga_layer(REPEATS),
+            **knn_and_io_layers(REPEATS, scratch),
+            **end_to_end(E2E_REPEATS, scratch),
         }
     payload = {
         "label": args.label,
         **provenance(),
-        "repeats": args.repeats,
-        "e2e_repeats": args.e2e_repeats,
+        "repeats": REPEATS,
+        "e2e_repeats": E2E_REPEATS,
         "medians": {name: round(value, 6) for name, value in layers.items()},
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),

@@ -188,10 +188,14 @@ def estimate_power(
     Deterministic in (chromosome, config, master_seed); always an exact
     multiple of 1 / nsim.
 
-    A degenerate replication (rank-deficient design or zero SSE) is re-drawn,
-    at most _MAX_REDRAWS times, from a stream keyed on (master_seed, genes,
-    row, attempt); such draws are measure-zero under both schemes, so the
-    retry cannot bias the estimate.
+    A degenerate replication is re-drawn, at most _MAX_REDRAWS times, from a
+    stream keyed on (master_seed, genes, row, attempt). Degenerate means a
+    nearly collinear design (a slope column's Cholesky pivot at most
+    _PIVOT_TOL plus Gram rounding times its G_jj) or an SSE <= 0. Exact
+    collinearity and a zero SSE have probability zero under both schemes; the
+    tolerance adds redraws of designs that are merely nearly collinear, so the
+    retry can bias the estimate by at most their probability, ~1e-10 per
+    replication (see the comment on _PIVOT_TOL).
     """
     beta, n = space.decode_params(chromosome)
     p = len(beta)
