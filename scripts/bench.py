@@ -2,8 +2,9 @@
 """Time each layer of powermap on its own, and the desk runs end to end.
 
 Writes BENCH_<label>.json at the repo root with the medians of REPEATS
-runs per layer (E2E_REPEATS for the end-to-end runs), the git revision, the
-Python and numpy versions, the CPUs available, and this process's peak RSS.
+runs per layer (E2E_REPEATS for the end-to-end runs), the time of one Tier-1
+run, the git revision, the Python and numpy versions, the CPUs available,
+and this process's peak RSS.
 Seeds and inputs are fixed, so two checkouts measured on one machine compare
 layer by layer. Run it on a clean checkout of a commit, so that git_rev names
 the measured code.
@@ -14,6 +15,9 @@ Layers:
   oracle.interaction_point_ms.n*  one interaction-brute point (partial F test
                                   of slope 3, experiment scheme, nsim 1000)
                                   at n = 50, 500
+  oracle.fanout_ms.w*             PowerOracle.evaluate_many over the 20-point
+                                  interaction-brute sub-box with 1 and 2
+                                  workers, the pool's start included
   ga.bookkeeping_ms               ga.run on the desk config with the oracle
                                   stubbed by a cheap monotone surface
   knn.index_build_ms,             one DictionaryIndex over 325 desk entries,
@@ -22,6 +26,10 @@ Layers:
                                   2,015-entry desk dictionary
   e2e.learn_s, e2e.brute_force_s  `powermap learn` / `brute-force` on
                                   configs/desk.json, in-process
+
+and, outside the medians:
+  tier1_s, tier1_passed           one run of the Tier-1 test command in a
+                                  fresh interpreter: seconds, tests passed
 
 Run from a checkout (it imports that checkout's src/):
     python scripts/bench.py --label my-change
@@ -33,6 +41,7 @@ import io
 import json
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -52,6 +61,7 @@ from powermap import (  # noqa: E402
     OracleConfig,
     ParameterRange,
     PowerDictionary,
+    PowerOracle,
     SearchSpace,
     TestSpec,
     estimate_power,
@@ -85,13 +95,8 @@ def median_time(func, repeats: int) -> float:
     return statistics.median(samples)
 
 
-def oracle_layers(repeats: int) -> dict:
-    desk = load_run_config(DESK)
-    out = {}
-    for n in (50, 100, 200):
-        chromosome = Chromosome((2, 6, (n - 50) // 5))  # beta = (0.2, 0.6)
-        seconds = median_time(lambda: estimate_power(chromosome, desk.space, desk.oracle, 2022), repeats)
-        out[f"oracle.desk_point_ms.n{n}"] = 1e3 * seconds
+def interaction_subbox() -> tuple[SearchSpace, OracleConfig]:
+    """The interaction-brute sub-box: interaction 0.05-0.50 at n = 50, 500."""
     space = SearchSpace(
         coefficient_ranges=(
             ParameterRange(0.2, 0.2, 0.05),
@@ -100,11 +105,29 @@ def oracle_layers(repeats: int) -> dict:
         ),
         sample_size_range=ParameterRange(50, 500, 450),
     )
-    config = OracleConfig(1000, 0.05, 1.0, TestSpec((3,), "f_joint"), "experiment")
+    return space, OracleConfig(1000, 0.05, 1.0, TestSpec((3,), "f_joint"), "experiment")
+
+
+def oracle_layers(repeats: int) -> dict:
+    desk = load_run_config(DESK)
+    out = {}
+    for n in (50, 100, 200):
+        chromosome = Chromosome((2, 6, (n - 50) // 5))  # beta = (0.2, 0.6)
+        seconds = median_time(lambda: estimate_power(chromosome, desk.space, desk.oracle, 2022), repeats)
+        out[f"oracle.desk_point_ms.n{n}"] = 1e3 * seconds
+    space, config = interaction_subbox()
     for j, n in enumerate((50, 500)):
         chromosome = Chromosome((0, 0, 5, j))  # interaction 0.3
         seconds = median_time(lambda: estimate_power(chromosome, space, config, 10_001), repeats)
         out[f"oracle.interaction_point_ms.n{n}"] = 1e3 * seconds
+    subbox = list(space.enumerate_grid())
+    for workers in (1, 2):
+
+        def fan_out():
+            with PowerOracle(space, config, 10_001, worker_count=workers) as oracle:
+                oracle.evaluate_many(subbox)
+
+        out[f"oracle.fanout_ms.w{workers}"] = 1e3 * median_time(fan_out, repeats)
     return out
 
 
@@ -176,6 +199,19 @@ def end_to_end(repeats: int, scratch: Path) -> dict:
     return out
 
 
+def tier1() -> tuple[float, int]:
+    """Wall seconds and pass count of one Tier-1 run in a fresh interpreter."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src") + (os.pathsep + path if path else "")}
+    command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    result = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    if result.returncode != 0:
+        raise SystemExit(f"the Tier-1 suite failed:\n{result.stdout[-2000:]}")
+    return seconds, int(re.findall(r"(\d+) passed", result.stdout)[-1])
+
+
 def provenance() -> dict:
     result = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
     return {
@@ -196,12 +232,15 @@ def main(argv=None) -> int:
             **knn_and_io_layers(REPEATS, scratch),
             **end_to_end(E2E_REPEATS, scratch),
         }
+    tier1_s, tier1_passed = tier1()
     payload = {
         "label": args.label,
         **provenance(),
         "repeats": REPEATS,
         "e2e_repeats": E2E_REPEATS,
         "medians": {name: round(value, 6) for name, value in layers.items()},
+        "tier1_s": round(tier1_s, 3),
+        "tier1_passed": tier1_passed,
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
     }

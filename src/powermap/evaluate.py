@@ -123,7 +123,7 @@ def evaluate(
     rmse_seen = rmse([brute[c] for c in seen], [learned[c] for c in seen])
 
     predicted = iter(DictionaryIndex(learned, space).predict(
-        [space.decode(c) for c in grid if c not in learned], k, PredictorConfig.metric
+        space.decode_many([c.genes for c in grid if c not in learned]), k, PredictorConfig.metric
     ))
     candidate = [learned[c] if c in learned else next(predicted) for c in grid]
     return EvaluationReport(

@@ -156,6 +156,16 @@ class SearchSpace:
         values[-1] = round(values[-1])
         return values
 
+    def decode_many(self, genes) -> np.ndarray:
+        """decode of every row of an (m, d) array-like of grid genes, as an
+        (m, d) array: lowers + genes * steps, the sample size rounded. The
+        genes are not checked against the grid."""
+        values = np.array(genes, dtype=float).reshape(-1, self.dimension)
+        values *= [r.step for r in self.ranges]
+        values += [r.lower for r in self.ranges]
+        np.rint(values[:, -1], out=values[:, -1])
+        return values
+
     def decode_params(self, chromosome: Chromosome) -> tuple[np.ndarray, int]:
         """Decoded coefficient vector and integer sample size."""
         values = self.decode(chromosome)

@@ -151,8 +151,9 @@ def export_dictionary_csv(path, dictionary: PowerDictionary, space: SearchSpace)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(dictionary_csv_header(space))
-        for chromosome, power in dictionary.sorted_items():
-            values = space.decode(chromosome)
+        items = dictionary.sorted_items()
+        decoded = space.decode_many([chromosome.genes for chromosome, _ in items])
+        for values, (_, power) in zip(decoded, items):
             writer.writerow([f"{v:.6f}" for v in values] + [f"{power:.6f}"])
 
 
@@ -162,17 +163,15 @@ def export_dictionary_json(
     space: SearchSpace,
     metadata: dict[str, Any],
 ) -> None:
+    items = dictionary.sorted_items()
+    decoded = space.decode_many([chromosome.genes for chromosome, _ in items]).tolist()
     payload = {
         "schema_version": SCHEMA_VERSION,
         "search_space": space_to_dict(space),
         "metadata": metadata,
         "entries": [
-            {
-                "genes": list(chromosome.genes),
-                "values": [float(v) for v in space.decode(chromosome)],
-                "power": power,
-            }
-            for chromosome, power in dictionary.sorted_items()
+            {"genes": list(chromosome.genes), "values": values, "power": power}
+            for (chromosome, power), values in zip(items, decoded)
         ],
     }
     with open(path, "w") as fh:
@@ -216,9 +215,9 @@ def _check_decoded(space: SearchSpace, genes: list, values: list) -> None:
     """Name the first entry whose genes are off the grid or whose values are
     not its genes decoded, within 1e-9 of a step.
 
-    Checked as arrays, in place, and in a call of its own so that they are
-    gone before the dictionary is built: decoding entry by entry would cost
-    as much time as the load, and keeping the arrays would raise its peak.
+    Checked as arrays, and in a call of its own so that they are gone before
+    the dictionary is built: decoding entry by entry would cost as much time
+    as the load, and keeping the arrays would raise its peak.
     """
     dimension = space.dimension
     for number, (chromosome_genes, coordinates) in enumerate(zip(genes, values)):
@@ -233,14 +232,11 @@ def _check_decoded(space: SearchSpace, genes: list, values: list) -> None:
             f"entries[{first}]: genes {list(genes[first])} are off the "
             f"{' x '.join(map(str, counts))} grid"
         )
-    steps = np.array([r.step for r in space.ranges])
-    decoded = grid  # in place
-    decoded *= steps
-    decoded += [r.lower for r in space.ranges]
-    np.rint(decoded[:, -1], out=decoded[:, -1])
+    decoded = space.decode_many(grid)
     deviation = np.array(values).reshape(decoded.shape)
     deviation -= decoded
     # Not-within rather than beyond, so that a NaN value fails too.
+    steps = np.array([r.step for r in space.ranges])
     misplaced = ~np.all(np.abs(deviation, out=deviation) <= 1e-9 * steps, axis=1)
     if misplaced.any():
         first = int(np.argmax(misplaced))

@@ -87,9 +87,7 @@ class DictionaryIndex:
         self.chromosomes = [c for c, _ in entries]
         self.genes = np.array([c.genes for c, _ in entries])
         self.powers = np.array([v for _, v in entries])
-        lowers = np.array([r.lower for r in space.ranges])
-        steps = np.array([r.step for r in space.ranges])
-        self.columns = np.ascontiguousarray((lowers + self.genes * steps).T)
+        self.columns = np.ascontiguousarray(space.decode_many(self.genes).T)
 
     def __len__(self) -> int:
         return len(self.chromosomes)

@@ -6,19 +6,23 @@ seeded by the master seed and the chromosome's integer coordinates, so
 repeated queries agree bit-for-bit regardless of call order, worker placement,
 or how the replications are chunked.
 
-Each replication is fitted from its Gram matrix. A chunk of replications
-becomes the designs [intercept, untested slopes, tested slopes, e], with the
-standard-normal noise e in the last column, and one batched matmul turns them
-into (p+2) x (p+2) Gram matrices. A block of these is factored by one
-Cholesky loop over the p+2 columns, each step vectorised over the block; the
-factor R is the R of a QR of the design. Since y = X b + s e (s^2 = sigma2),
-y's column of R is R[:, slopes] @ b + s R[:, e]. So the full model's SSE is
-(s R_ee)^2, free of beta, and the squared norm of the tested rows of y's
-column is the rise in SSE when the tested slopes are dropped. The Gram holds
-the noise, not y, so its conditioning depends on the design alone, not on
-beta or sigma2. A single-slope t test is the one-slope F test
-(t^2 = F(1, df)), so one cached critical value per (slopes tested, df, alpha)
-decides every replication.
+Each replication is fitted from its Gram matrix, the Gram of its design
+[intercept, untested slopes, tested slopes, e] with the standard-normal noise
+e in the last column. Under the normal scheme a chunk of replications is
+copied into these designs and one batched matmul turns them into
+(p+2) x (p+2) Gram matrices. Under the experiment scheme no design is built:
+x1 is -1 on the first n // 2 rows and +1 on the rest, and x1*x2 is x2 with
+that sign, so every Gram entry is a sum or a difference of the two halves'
+sums of e and x2 and of their 2 x 2 cross products, taken over strided views
+of the draws. A block of Gram matrices is factored by one Cholesky loop over
+the p+2 columns, each step vectorised over the block; the factor R is the R
+of a QR of the design. Since y = X b + s e (s^2 = sigma2), y's column of R is
+R[:, slopes] @ b + s R[:, e]. So the full model's SSE is (s R_ee)^2, free of
+beta, and the squared norm of the tested rows of y's column is the rise in
+SSE when the tested slopes are dropped. The Gram holds the noise, not y, so
+its conditioning depends on the design alone, not on beta or sigma2. A
+single-slope t test is the one-slope F test (t^2 = F(1, df)), so one cached
+critical value per (slopes tested, df, alpha) decides every replication.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ from .regression import REGRESSOR_SCHEMES, TestSpec
 from .special import f_cdf
 
 _MAX_REDRAWS = 10
-# Bytes of design per chunk of replications, the operand of one batched
-# matmul: bounds that working set for any n without changing any value.
+# Bytes of standard normals per chunk of replications, drawn into one reused
+# buffer and handed to _gram together: bounds the draws, and the design copy
+# of the normal scheme, for any n without changing any value.
 _CHUNK_BYTES = 128 * 1024
 # Gram matrices per Cholesky block: bounds the Gram buffer for any nsim
 # without changing any value.
@@ -120,6 +125,25 @@ class _Point:
         return self.n * (1 + per_row)
 
 
+# The experiment design's columns [1, x1, x2, x1*x2, e], each as (u, a): the
+# product of x1**a with variable u of (1, e, x2).
+_EXPERIMENT_COLUMNS = ((0, 0), (0, 1), (2, 0), (2, 1), (1, 0))
+
+
+@lru_cache(maxsize=None)
+def _experiment_index(order: tuple[int, ...]) -> np.ndarray:
+    """Flat indices of the experiment Gram, slopes in the given column
+    order, into the (2, 3, 3, rows) signed sums of _gram: the entry of
+    columns (u, a) and (v, b) is the sum of x1**(a + b) u v, found at
+    [(a + b) % 2, min(u, v), max(u, v)] since x1**2 = 1."""
+    columns = [_EXPERIMENT_COLUMNS[c] for c in (0, *(j + 1 for j in order), 4)]
+    index = np.array(
+        [[9 * ((a + b) % 2) + 3 * min(u, v) + max(u, v) for v, b in columns] for u, a in columns]
+    )
+    index.flags.writeable = False  # shared by every caller through the cache
+    return index
+
+
 def _gram(draws: np.ndarray, point: _Point) -> np.ndarray:
     """Gram matrices of the designs [intercept, slopes in column order, e],
     one per row of standard normals, as a (p+2, p+2, rows) array.
@@ -128,13 +152,26 @@ def _gram(draws: np.ndarray, point: _Point) -> np.ndarray:
     regression.generate_mlr_sample draws them from its stream.
     """
     rows, n, p = len(draws), point.n, len(point.beta)
-    if point.scheme == "normal":
-        regressors = draws[:, n:].reshape(rows, n, p).transpose(2, 0, 1)
-    else:
-        x1 = np.ones(n)
-        x1[: n // 2] = -1.0
-        x2 = draws[:, n:]
-        regressors = (x1, x2, x1 * x2)
+    if point.scheme == "experiment":
+        # Each row holds e, then x2; x1 is -1 on the first n // 2 of them.
+        h = n // 2
+        pair = draws.reshape(rows, 2, n)
+        # Per half: sums of the products of (1, e, x2), upper triangle.
+        halves = np.zeros((2, 3, 3, rows))
+        halves[:, 0, 0] = [[h], [n - h]]
+        for side, half in enumerate((pair[:, :, :h], pair[:, :, h:])):
+            halves[side, 0, 1:] = half.sum(axis=2).T
+            np.matmul(
+                half[:, :, None, None, :],
+                half[:, None, :, :, None],
+                out=halves[side, 1:, 1:].transpose(2, 0, 1)[..., None, None],
+            )
+        # Sums over all rows of those products times x1**0, then times x1.
+        signed = np.empty_like(halves)
+        np.add(halves[1], halves[0], out=signed[0])
+        np.subtract(halves[1], halves[0], out=signed[1])
+        return signed.reshape(18, rows)[_experiment_index(tuple(point.order))]
+    regressors = draws[:, n:].reshape(rows, n, p).transpose(2, 0, 1)
     # One design per replication, stored column by column.
     columns = np.empty((rows, p + 2, n))
     columns[:, 0] = 1.0
@@ -219,16 +256,17 @@ def estimate_power(
         critical=critical_value(len(tested), n - p - 1, config.alpha),
     )
     size = p + 2
-    chunk = max(1, _CHUNK_BYTES // (8 * n * size))
     block = min(_BLOCK_ROWS, config.nsim)
+    chunk = max(1, min(block, _CHUNK_BYTES // (8 * point.width)))
     gram = np.empty((size, size, block))
+    draws = np.empty((chunk, point.width))
     rng = np.random.default_rng(np.random.SeedSequence((master_seed, *chromosome.genes)))
     rejections = 0
     for start in range(0, config.nsim, block):
         rows = min(block, config.nsim - start)
         for lo in range(0, rows, chunk):
             hi = min(lo + chunk, rows)
-            gram[..., lo:hi] = _gram(rng.standard_normal((hi - lo, point.width)), point)
+            gram[..., lo:hi] = _gram(rng.standard_normal(out=draws[: hi - lo]), point)
         reject, degenerate = _rejections(gram[..., :rows], point)
         for row in np.flatnonzero(degenerate):
             reject[row] = _redraw(point, (master_seed, *chromosome.genes, start + int(row)))

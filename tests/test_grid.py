@@ -71,6 +71,13 @@ class TestDecode:
         with pytest.raises(GridError, match="genes"):
             desk_space().decode(Chromosome((0, 0)))
 
+    def test_decode_many_equals_decode_bit_for_bit(self):
+        space = desk_space()
+        grid = list(space.enumerate_grid())
+        decoded = space.decode_many([c.genes for c in grid])
+        assert decoded.tolist() == [space.decode(c).tolist() for c in grid]
+        assert space.decode_many([]).shape == (0, space.dimension)
+
 
 class TestSnap:
     def test_nearest_multiple(self):

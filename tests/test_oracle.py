@@ -247,7 +247,31 @@ KERNEL_CASES = [
         OracleConfig(200, 0.05, 1e-8, TestSpec((1,), "t_single"), "normal"),
         (0, 0, 0),
     ),
+    # experiment scheme at odd n, where the x1 = -1 half is one row shorter,
+    # with the tested slopes last and then not last: the interaction, the
+    # condition x1, the measure x2, and x2 with the interaction
+    (
+        point_space([0.2, 0.6, 0.3], 55),
+        OracleConfig(200, 0.05, 1.0, TestSpec((3,), "f_joint"), "experiment"),
+        (0, 0, 0, 0),
+    ),
+    (
+        point_space([0.3, 0.6, 0.3], 77),
+        OracleConfig(200, 0.05, 1.0, TestSpec((1,), "t_single"), "experiment"),
+        (0, 0, 0, 0),
+    ),
+    (
+        point_space([0.2, 0.2, 0.4], 101),
+        OracleConfig(200, 0.05, 1.5, TestSpec((2,), "t_single"), "experiment"),
+        (0, 0, 0, 0),
+    ),
+    (
+        point_space([0.2, 0.15, 0.3], 63),
+        OracleConfig(200, 0.05, 1.0, TestSpec((2, 3), "f_joint"), "experiment"),
+        (0, 0, 0, 0),
+    ),
 ]
+EXPERIMENT_CASES = [case for case in KERNEL_CASES if case[1].scheme == "experiment"]
 
 
 class TestBatchedKernel:
@@ -256,7 +280,9 @@ class TestBatchedKernel:
         c = Chromosome(genes)
         assert estimate_power(c, space, config, 7) == scalar_power(c, space, config, 7)
 
-    @pytest.mark.parametrize("space, config, genes", KERNEL_CASES[::3])
+    @pytest.mark.parametrize(
+        "space, config, genes", [KERNEL_CASES[i] for i in (0, 3, 6, 9)] + EXPERIMENT_CASES
+    )
     def test_chunking_does_not_change_values(self, space, config, genes, monkeypatch):
         c = Chromosome(genes)
         base = estimate_power(c, space, config, 3)
@@ -276,8 +302,9 @@ class TestBatchedKernel:
 
 def _edited_regressors(rows_to_break, edit):
     """Wrap the Gram kernel so that the replications whose first noise draw
-    is in rows_to_break (all of them, for None) have their regressors, an
-    (rows, n, p) array under the normal scheme, changed in place by edit."""
+    is in rows_to_break (all of them, for None) have their regressor draws
+    changed in place by edit: an (rows, n, p) array under the normal scheme,
+    the measure x2 as an (rows, n, 1) array under the experiment scheme."""
     real = oracle_mod._gram
 
     def broken(draws, point):
@@ -307,21 +334,35 @@ def _duplicate_regressor(rows_to_break):
     return _edited_regressors(rows_to_break, edit)
 
 
+def _constant_measure(rows_to_break):
+    """Experiment scheme: the measure x2 constant, so x2 is collinear with
+    the intercept and x1 * x2 with x1, up to Gram rounding."""
+    return _edited_regressors(rows_to_break, lambda x: x.fill(0.7))
+
+
+def experiment_case(nsim):
+    """Odd n, and the condition x1 tested, so that its column is not last."""
+    config = OracleConfig(nsim, 0.05, 1.0, TestSpec((1,), "t_single"), "experiment")
+    return point_space([0.3, 0.6, 0.3], 55), config, (0, 0, 0, 0)
+
+
 class TestDegenerateDraws:
     def test_degenerate_row_is_redrawn_from_its_own_stream(self, monkeypatch):
-        self._check_redrawn(_zero_regressors, monkeypatch)
+        self._check_redrawn(_zero_regressors, desk_space(), t_config(50), (2, 5, 10), monkeypatch)
 
     def test_duplicated_regressor_is_redrawn(self, monkeypatch):
-        self._check_redrawn(_duplicate_regressor, monkeypatch)
+        self._check_redrawn(_duplicate_regressor, desk_space(), t_config(50), (2, 5, 10), monkeypatch)
+
+    def test_constant_measure_is_redrawn(self, monkeypatch):
+        self._check_redrawn(_constant_measure, *experiment_case(50), monkeypatch)
 
     @staticmethod
-    def _check_redrawn(breaker, monkeypatch):
-        space, config, genes, seed = desk_space(), t_config(50), (2, 5, 10), 4
-        c = Chromosome(genes)
-        rows = (3, 17, 40)
+    def _check_redrawn(breaker, space, config, genes, monkeypatch):
+        seed, c, rows = 4, Chromosome(genes), (3, 17, 40)
         _, n = space.decode_params(c)
+        regressors = 1 if config.scheme == "experiment" else space.n_coefficients
         draws = np.random.default_rng(np.random.SeedSequence((seed, *genes))).standard_normal(
-            (config.nsim, n * 3)  # n noise draws, then n x 2 regressors
+            (config.nsim, n * (1 + regressors))  # n noise draws, then the regressors
         )
         monkeypatch.setattr(oracle_mod, "_gram", breaker(draws[rows, 0]))
         got = estimate_power(c, space, config, seed)
@@ -338,3 +379,9 @@ class TestDegenerateDraws:
         monkeypatch.setattr(oracle_mod, "_gram", _zero_regressors(None))
         with pytest.raises(OracleError, match="degenerate"):
             estimate_power(Chromosome((0, 0, 0)), desk_space(), t_config(20), 1)
+
+    def test_always_degenerate_experiment_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "_gram", _constant_measure(None))
+        space, config, genes = experiment_case(20)
+        with pytest.raises(OracleError, match="degenerate"):
+            estimate_power(Chromosome(genes), space, config, 1)
