@@ -11,6 +11,7 @@ import dataclasses
 import json
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 from . import ga as ga_mod
@@ -198,7 +199,11 @@ def _add_config_flags(parser: argparse.ArgumentParser, required: bool = True) ->
     parser.add_argument("--prefix")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves it
+    unchanged (no append actions, no mutable defaults), so every main call
+    reuses it."""
     parser = argparse.ArgumentParser(
         prog="powermap",
         description="Learn a statistical power surface with a genetic "

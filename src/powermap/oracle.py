@@ -1,20 +1,37 @@
 """Monte-Carlo oracle for the rejection probability at one grid point.
 
 The estimate is a pure function of (chromosome, oracle settings, master seed).
-All replications of a grid point are rows drawn in order from one generator
-seeded by the master seed and the chromosome's integer coordinates, so
-repeated queries agree bit-for-bit regardless of call order, worker placement,
-or how the replications are chunked.
+Each grid point has two generators, spawned from one seed sequence keyed on
+the master seed and the chromosome's integer coordinates: one for standard
+normals, one for chi-squares. Each replication takes a fixed number of values
+from each, in order, so repeated queries agree bit-for-bit regardless of call
+order, worker placement, or how the replications are blocked.
 
-Each replication is fitted from its Gram matrix, the Gram of its design
-[intercept, untested slopes, tested slopes, e] with the standard-normal noise
-e in the last column. Under the normal scheme a chunk of replications is
-copied into these designs and one batched matmul turns them into
-(p+2) x (p+2) Gram matrices. Under the experiment scheme no design is built:
-x1 is -1 on the first n // 2 rows and +1 on the rest, and x1*x2 is x2 with
-that sign, so every Gram entry is a sum or a difference of the two halves'
-sums of e and x2 and of their 2 x 2 cross products, taken over strided views
-of the draws. A block of Gram matrices is factored by one Cholesky loop over
+A replication's n rows are never drawn. The F test reads a sample only
+through the Gram matrix of its design [intercept, untested slopes, tested
+slopes, e], with the standard-normal noise e in the last column, and that
+matrix is a sum over groups of iid rows whose law is known exactly. The
+normal scheme has one group: n rows of q = p+1 variables (e, x1..xp). The
+experiment scheme has two: the x1 = -1 half (n // 2 rows) and the x1 = +1
+half, each of q = 2 variables (e, x2), since x1 and x1*x2 are fixed signs
+times a half's own columns. For m iid N(0, I_q) rows the sum z ~ N(0, m I_q)
+is independent of the centred cross products W ~ Wishart_q(m-1, I), and the
+uncentred cross products are C = W + z z^T / m. W is drawn by the Bartlett
+decomposition (Bartlett 1933; Anderson, An Introduction to Multivariate
+Statistical Analysis, sec. 7.2) as A A^T, A lower triangular with
+A_ii = sqrt(chi2(m-1-i)) for i < m-1, A_ij ~ N(0, 1) for j < min(i, m-1) and
+every other entry 0. The bound m-1 covers the experiment halves at n = 5,
+where m-1 = 1 < q and W is singular. With z = sqrt(m) u, u ~ N(0, I_q), the
+group's moment matrix [[m, z^T], [z, C]], the cross products of (1, e, x),
+is D D^T for D = [[0, sqrt(m)], [A, u]]: O(q^2) draws give it, however
+large m is. The estimand, random-design power, is
+that of drawn rows exactly; only the work per replication no longer grows
+with n.
+
+The design's Gram matrix is read off the moment matrices: under the normal
+scheme by permuting indices, under the experiment scheme from the sum and
+the difference of the two halves' (x1 is -1 on one and +1 on the other, and
+x1**2 = 1). A block of Gram matrices is factored by one Cholesky loop over
 the p+2 columns, each step vectorised over the block; the factor R is the R
 of a QR of the design. Since y = X b + s e (s^2 = sigma2), y's column of R is
 R[:, slopes] @ b + s R[:, e]. So the full model's SSE is (s R_ee)^2, free of
@@ -39,17 +56,15 @@ from .regression import REGRESSOR_SCHEMES, TestSpec
 from .special import f_cdf
 
 _MAX_REDRAWS = 10
-# Bytes of standard normals per chunk of replications, drawn into one reused
-# buffer and handed to _gram together: bounds the draws, and the design copy
-# of the normal scheme, for any n without changing any value.
-_CHUNK_BYTES = 128 * 1024
-# Gram matrices per Cholesky block: bounds the Gram buffer for any nsim
-# without changing any value.
+# Replications per block of draws and Gram matrices: bounds the working set
+# for any nsim without changing any value, since each generator is read
+# row-major, one replication's values after another.
 _BLOCK_ROWS = 4096
 # A slope column is degenerate when its Cholesky pivot d_j is at most
 # (_PIVOT_TOL + Gram rounding) * G_jj. Here d_j / G_jj is the squared sine of
-# the angle between column j and the span of the j columns before it. Each
-# Gram entry sums n products and the pivot takes up to p+2 more steps, so
+# the angle between column j and the span of the j columns before it. A Gram
+# entry taken from a sample's rows sums n products (the oracle's own sums of
+# its moment factors round less), and the pivot takes up to p+2 more steps, so
 # rounding alone moves d_j by up to about (n + p + 2) * eps * G_jj: an exactly
 # duplicated column leaves a pivot of that size, not 0, and an F built on it
 # is rounding noise. The QR rule of regression.ols_fit (R_jj^2 <= 1e-20 of
@@ -116,13 +131,88 @@ class _Point:
     tested: int  # number of tested slopes, the last slope columns
     sigma: float  # noise standard deviation, sqrt(sigma2)
     critical: float  # F_{1-alpha}(tested, n - p - 1)
+    groups: tuple[int, ...]  # rows per group: (n,), or the x1 = -1 and +1 halves
 
     @property
-    def width(self) -> int:
-        """Standard normals per replication: n for the noise, then the
-        regressors (all p for normal, the measure x2 for experiment)."""
-        per_row = len(self.beta) if self.scheme == "normal" else 1
-        return self.n * (1 + per_row)
+    def variables(self) -> int:
+        """Variables per row of a group: e, then the drawn regressors (all p
+        for normal, the measure x2 for experiment)."""
+        return len(self.beta) + 1 if self.scheme == "normal" else 2
+
+
+def _point(chromosome: Chromosome, space: SearchSpace, config: OracleConfig) -> _Point:
+    """The kernel's view of a grid point, after checking that the decoded
+    point fits the model, the test and the scheme."""
+    beta, n = space.decode_params(chromosome)
+    p = len(beta)
+    if n < p + 2:
+        raise OracleError(
+            f"decoded sample size {n} cannot fit {p} slopes plus intercept"
+        )
+    tested = config.test.tested_indices
+    if max(tested) > p:
+        raise ValueError(f"test indices {tested} exceed the {p} coefficients")
+    if config.scheme == "experiment" and p != 3:
+        raise ValueError(f"experiment scheme requires exactly 3 coefficients, got {p}")
+    order = [j for j in range(p) if j + 1 not in tested] + [j - 1 for j in tested]
+    return _Point(
+        n=n,
+        scheme=config.scheme,
+        order=order,
+        beta=beta[order],
+        tested=len(tested),
+        sigma=float(np.sqrt(config.sigma2)),
+        critical=critical_value(len(tested), n - p - 1, config.alpha),
+        groups=(n,) if config.scheme == "normal" else (n // 2, n - n // 2),
+    )
+
+
+@lru_cache(maxsize=1024)
+def _bartlett(groups: tuple[int, ...], q: int) -> tuple[np.ndarray, ...]:
+    """Layout of one replication's moment factors D = [[0, sqrt(m)], [A, u]],
+    one (q+1) x (q+1) matrix per group of m rows, flattened in group order.
+
+    Returns D with only its sqrt(m) entries set, the flat positions of the
+    standard normals (per group: u, then A below its diagonal, row by row),
+    the flat positions of the chi-square roots (per group: A's diagonal), and
+    the chi-squares' degrees of freedom m-1, m-2, ...
+    """
+    size = (q + 1) ** 2
+    base = np.zeros(len(groups) * size)
+    normals, roots, dfs = [], [], []
+    for g, m in enumerate(groups):
+        at = g * size + q + 1  # D[1, 0], where A starts
+        base[g * size + q] = np.sqrt(m)
+        normals += [at + i * (q + 1) + q for i in range(q)]
+        normals += [at + i * (q + 1) + j for i in range(q) for j in range(min(i, m - 1))]
+        roots += [at + i * (q + 2) for i in range(min(q, m - 1))]
+        dfs += [m - 1 - i for i in range(min(q, m - 1))]
+    layout = (base, np.array(normals), np.array(roots), np.array(dfs, dtype=float))
+    for array in layout:
+        array.flags.writeable = False  # shared by every caller through the cache
+    return layout
+
+
+def _streams(key: tuple[int, ...]) -> tuple[np.random.Generator, np.random.Generator]:
+    """The normal and the chi-square generator of a seed key."""
+    normal, chi = np.random.SeedSequence(key).spawn(2)
+    return np.random.default_rng(normal), np.random.default_rng(chi)
+
+
+def _draw_moments(streams: tuple[np.random.Generator, ...], rows: int, point: _Point) -> np.ndarray:
+    """The next rows replications' moment matrices, (groups, q+1, q+1, rows)."""
+    base, normals, roots, dfs = _bartlett(point.groups, point.variables)
+    factor = np.empty((len(base), rows))
+    factor[:] = base[:, None]
+    factor[normals] = streams[0].standard_normal((rows, len(normals))).T
+    factor[roots] = np.sqrt(streams[1].chisquare(dfs, (rows, len(dfs)))).T
+    factor = factor.reshape(len(point.groups), point.variables + 1, -1, rows)
+    # D D^T one column of D at a time: elementwise products and sums, so that
+    # a replication's moments do not depend on how many share the block.
+    moments = factor[:, :, None, 0] * factor[:, None, :, 0]
+    for k in range(1, factor.shape[2]):
+        moments += factor[:, :, None, k] * factor[:, None, :, k]
+    return moments
 
 
 # The experiment design's columns [1, x1, x2, x1*x2, e], each as (u, a): the
@@ -131,54 +221,46 @@ _EXPERIMENT_COLUMNS = ((0, 0), (0, 1), (2, 0), (2, 1), (1, 0))
 
 
 @lru_cache(maxsize=None)
-def _experiment_index(order: tuple[int, ...]) -> np.ndarray:
-    """Flat indices of the experiment Gram, slopes in the given column
-    order, into the (2, 3, 3, rows) signed sums of _gram: the entry of
+def _gram_index(scheme: str, order: tuple[int, ...]) -> np.ndarray:
+    """Flat indices of the Gram, slopes in the given column order, into the
+    (parity, u, v) moments summed by _gram, u and v indexing (1, e,
+    regressors). A design column is variable u times x1**a, so the entry of
     columns (u, a) and (v, b) is the sum of x1**(a + b) u v, found at
-    [(a + b) % 2, min(u, v), max(u, v)] since x1**2 = 1."""
-    columns = [_EXPERIMENT_COLUMNS[c] for c in (0, *(j + 1 for j in order), 4)]
+    [(a + b) % 2, min(u, v), max(u, v)] since x1**2 = 1; under the normal
+    scheme a = 0 for every column."""
+    if scheme == "experiment":
+        columns = [_EXPERIMENT_COLUMNS[c] for c in (0, *(j + 1 for j in order), 4)]
+    else:
+        columns = [(0, 0), *((j + 2, 0) for j in order), (1, 0)]
+    width = 3 if scheme == "experiment" else len(order) + 2
     index = np.array(
-        [[9 * ((a + b) % 2) + 3 * min(u, v) + max(u, v) for v, b in columns] for u, a in columns]
+        [
+            [width * (width * ((a + b) % 2) + min(u, v)) + max(u, v) for v, b in columns]
+            for u, a in columns
+        ]
     )
     index.flags.writeable = False  # shared by every caller through the cache
     return index
 
 
-def _gram(draws: np.ndarray, point: _Point) -> np.ndarray:
+def _gram(moments: np.ndarray, point: _Point) -> np.ndarray:
     """Gram matrices of the designs [intercept, slopes in column order, e],
-    one per row of standard normals, as a (p+2, p+2, rows) array.
+    as a (p+2, p+2, rows) array.
 
-    Noise and regressors come from each row in the order
-    regression.generate_mlr_sample draws them from its stream.
+    moments is (groups, q+1, q+1, rows): per replication, each row group's
+    [[m, z^T], [z, C]], its row count, the sums z of its variables and their
+    cross products C. The variables are (e, x1..xp) under the normal scheme
+    and (e, x2) under the experiment scheme, whose x1 = -1 half comes first.
+    Only entries on and above the diagonal are read.
     """
-    rows, n, p = len(draws), point.n, len(point.beta)
     if point.scheme == "experiment":
-        # Each row holds e, then x2; x1 is -1 on the first n // 2 of them.
-        h = n // 2
-        pair = draws.reshape(rows, 2, n)
-        # Per half: sums of the products of (1, e, x2), upper triangle.
-        halves = np.zeros((2, 3, 3, rows))
-        halves[:, 0, 0] = [[h], [n - h]]
-        for side, half in enumerate((pair[:, :, :h], pair[:, :, h:])):
-            halves[side, 0, 1:] = half.sum(axis=2).T
-            np.matmul(
-                half[:, :, None, None, :],
-                half[:, None, :, :, None],
-                out=halves[side, 1:, 1:].transpose(2, 0, 1)[..., None, None],
-            )
-        # Sums over all rows of those products times x1**0, then times x1.
-        signed = np.empty_like(halves)
-        np.add(halves[1], halves[0], out=signed[0])
-        np.subtract(halves[1], halves[0], out=signed[1])
-        return signed.reshape(18, rows)[_experiment_index(tuple(point.order))]
-    regressors = draws[:, n:].reshape(rows, n, p).transpose(2, 0, 1)
-    # One design per replication, stored column by column.
-    columns = np.empty((rows, p + 2, n))
-    columns[:, 0] = 1.0
-    for column, j in enumerate(point.order, start=1):
-        columns[:, column] = regressors[j]
-    columns[:, -1] = draws[:, :n]
-    return np.matmul(columns, columns.transpose(0, 2, 1)).transpose(1, 2, 0)
+        minus, plus = moments
+        # Sums over all rows of the products of (1, e, x2) times x1**0, then
+        # times x1.
+        moments = np.empty_like(moments)
+        np.add(plus, minus, out=moments[0])
+        np.subtract(plus, minus, out=moments[1])
+    return moments.reshape(-1, moments.shape[-1])[_gram_index(point.scheme, tuple(point.order))]
 
 
 def _rejections(gram: np.ndarray, point: _Point) -> tuple[np.ndarray, np.ndarray]:
@@ -225,8 +307,8 @@ def estimate_power(
     Deterministic in (chromosome, config, master_seed); always an exact
     multiple of 1 / nsim.
 
-    A degenerate replication is re-drawn, at most _MAX_REDRAWS times, from a
-    stream keyed on (master_seed, genes, row, attempt). Degenerate means a
+    A degenerate replication is re-drawn, at most _MAX_REDRAWS times, from the
+    streams keyed on (master_seed, genes, row, attempt). Degenerate means a
     nearly collinear design (a slope column's Cholesky pivot at most
     _PIVOT_TOL plus Gram rounding times its G_jj) or an SSE <= 0. Exact
     collinearity and a zero SSE have probability zero under both schemes; the
@@ -234,42 +316,15 @@ def estimate_power(
     retry can bias the estimate by at most their probability, ~1e-10 per
     replication (see the comment on _PIVOT_TOL).
     """
-    beta, n = space.decode_params(chromosome)
-    p = len(beta)
-    if n < p + 2:
-        raise OracleError(
-            f"decoded sample size {n} cannot fit {p} slopes plus intercept"
-        )
-    tested = config.test.tested_indices
-    if max(tested) > p:
-        raise ValueError(f"test indices {tested} exceed the {p} coefficients")
-    if config.scheme == "experiment" and p != 3:
-        raise ValueError(f"experiment scheme requires exactly 3 coefficients, got {p}")
-    order = [j for j in range(p) if j + 1 not in tested] + [j - 1 for j in tested]
-    point = _Point(
-        n=n,
-        scheme=config.scheme,
-        order=order,
-        beta=beta[order],
-        tested=len(tested),
-        sigma=float(np.sqrt(config.sigma2)),
-        critical=critical_value(len(tested), n - p - 1, config.alpha),
-    )
-    size = p + 2
-    block = min(_BLOCK_ROWS, config.nsim)
-    chunk = max(1, min(block, _CHUNK_BYTES // (8 * point.width)))
-    gram = np.empty((size, size, block))
-    draws = np.empty((chunk, point.width))
-    rng = np.random.default_rng(np.random.SeedSequence((master_seed, *chromosome.genes)))
+    point = _point(chromosome, space, config)
+    key = (master_seed, *chromosome.genes)
+    streams = _streams(key)
     rejections = 0
-    for start in range(0, config.nsim, block):
-        rows = min(block, config.nsim - start)
-        for lo in range(0, rows, chunk):
-            hi = min(lo + chunk, rows)
-            gram[..., lo:hi] = _gram(rng.standard_normal(out=draws[: hi - lo]), point)
-        reject, degenerate = _rejections(gram[..., :rows], point)
+    for start in range(0, config.nsim, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, config.nsim - start)
+        reject, degenerate = _rejections(_gram(_draw_moments(streams, rows, point), point), point)
         for row in np.flatnonzero(degenerate):
-            reject[row] = _redraw(point, (master_seed, *chromosome.genes, start + int(row)))
+            reject[row] = _redraw(point, (*key, start + int(row)))
         rejections += int(np.count_nonzero(reject))
     return rejections / config.nsim
 
@@ -277,8 +332,8 @@ def estimate_power(
 def _redraw(point: _Point, key: tuple[int, ...]) -> bool:
     """Rejection indicator of a degenerate replication's replacement."""
     for attempt in range(1, _MAX_REDRAWS + 1):
-        rng = np.random.default_rng(np.random.SeedSequence((*key, attempt)))
-        reject, degenerate = _rejections(_gram(rng.standard_normal((1, point.width)), point), point)
+        moments = _draw_moments(_streams((*key, attempt)), 1, point)
+        reject, degenerate = _rejections(_gram(moments, point), point)
         if not degenerate[0]:
             return bool(reject[0])
     raise OracleError(

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from powermap.config import load_run_config, resolved_config_dict
 from powermap.io import load_dictionary_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(tmp_path, **overrides):
@@ -338,6 +342,32 @@ class TestEvaluate:
         # learn and brute share oracle_seed 77: overlapping points agree exactly
         assert payload["rmse_seen_only"] == 0.0
         assert 0.0 < payload["query_ratio"] <= 1.0
+
+    def test_repeat_calls_match_fresh_processes(self, tmp_path, capsys):
+        """main builds its parser once per process: an option given to one
+        call must not carry over to the next."""
+        config = write_config(tmp_path)
+        assert main(["learn", "-c", str(config)]) == 0
+        assert main(["brute-force", "-c", str(config), "--prefix", "brute"]) == 0
+        out = tmp_path / "out"
+        argv = ["evaluate", "--ga", str(out / "run_dictionary.json"),
+                "--brute", str(out / "brute_dictionary.json")]
+        capsys.readouterr()
+        calls = (["--k", "3"], [])
+        in_process = []
+        for extra in calls:
+            assert main(argv + extra) == 0
+            in_process.append(capsys.readouterr().out)
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "powermap.cli", *argv, *extra], capture_output=True,
+                text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+            ).stdout
+            for extra in calls
+        ]
+        assert in_process == fresh
+        assert fresh[0] != fresh[1]  # k = 3 against the default k
 
     @pytest.mark.parametrize(
         "metadata, named",

@@ -1,5 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import roots_legendre
 
 import powermap.oracle as oracle_mod
 from powermap import (
@@ -168,25 +172,31 @@ class TestPowerOracle:
             PowerOracle(space, t_config(20), -1)
 
 
-def scalar_power(chromosome, space, config, seed, replace=None):
-    """Reference rejection share: one replication at a time through the
-    public scalar path, on the oracle's stream for this grid point.
+def scalar_reject(X, y, config):
+    """ols_fit + run_test's decision on one sample's rows."""
+    keep = [0] + [j for j in range(1, X.shape[1]) if j not in config.test.tested_indices]
+    fit = ols_fit(X, y)
+    restricted = ols_fit(X[:, keep], y).sse if config.test.kind == "f_joint" else None
+    return run_test(fit, config.test, config.alpha, restricted).reject
 
-    replace maps a replication row to the stream its sample is taken from
-    instead (the row's draws are still consumed from the main stream).
-    """
+
+def scalar_power(chromosome, space, config, seed):
+    """Reference rejection share: one replication at a time through the
+    public scalar path, rows drawn by generate_mlr_sample from one stream
+    keyed on (seed, genes). The oracle draws other values; only the law of a
+    replication is shared."""
     beta, n = space.decode_params(chromosome)
     rng = np.random.default_rng(np.random.SeedSequence((seed, *chromosome.genes)))
-    keep = [0] + [j for j in range(1, len(beta) + 1) if j not in config.test.tested_indices]
     rejections = 0
-    for row in range(config.nsim):
+    for _ in range(config.nsim):
         X, y = generate_mlr_sample(beta, n, config.sigma2, config.scheme, rng)
-        if replace and row in replace:
-            X, y = generate_mlr_sample(beta, n, config.sigma2, config.scheme, replace[row])
-        fit = ols_fit(X, y)
-        restricted = ols_fit(X[:, keep], y).sse if config.test.kind == "f_joint" else None
-        rejections += run_test(fit, config.test, config.alpha, restricted).reject
+        rejections += scalar_reject(X, y, config)
     return rejections / config.nsim
+
+
+def streams(key):
+    """The oracle's normal and chi-square generators for a seed key."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(key).spawn(2)]
 
 
 def desk_space():
@@ -274,25 +284,50 @@ KERNEL_CASES = [
 EXPERIMENT_CASES = [case for case in KERNEL_CASES if case[1].scheme == "experiment"]
 
 
+def row_moments(X, noise, point):
+    """Each row group's moment matrix from one sample's rows, as
+    (groups, q+1, q+1): the cross products of (1, e, drawn regressors), so
+    the group's row count m, the sums z of e and the regressors, and their
+    cross products C. The experiment scheme draws only the measure x2, and
+    its x1 = -1 half comes first."""
+    if point.scheme == "experiment":
+        assert (X[:, 1] == np.repeat([-1.0, 1.0], point.groups)).all()
+    drawn = X[:, 1:] if point.scheme == "normal" else X[:, 2:3]
+    columns = np.column_stack([np.ones(point.n), noise, drawn])
+    ends = np.cumsum(point.groups)
+    return np.stack([part.T @ part for part in np.split(columns, ends[:-1])])
+
+
 class TestBatchedKernel:
     @pytest.mark.parametrize("space, config, genes", KERNEL_CASES)
     def test_equals_scalar_loop(self, space, config, genes):
+        """Each replication's decision from its rows' moments, through the
+        kernel, is ols_fit + run_test's on the same rows."""
         c = Chromosome(genes)
-        assert estimate_power(c, space, config, 7) == scalar_power(c, space, config, 7)
+        point = oracle_mod._point(c, space, config)
+        beta, n = space.decode_params(c)
+        rng = np.random.default_rng(np.random.SeedSequence((7, *genes)))
+        moments, expected = [], []
+        for _ in range(300):
+            # generate_mlr_sample draws the noise first: a copy of the
+            # stream gives the sample's e without rounding.
+            noise = copy.deepcopy(rng).standard_normal(n)
+            X, y = generate_mlr_sample(beta, n, config.sigma2, config.scheme, rng)
+            moments.append(row_moments(X, noise, point))
+            expected.append(scalar_reject(X, y, config))
+        gram = oracle_mod._gram(np.stack(moments, axis=-1), point)
+        reject, degenerate = oracle_mod._rejections(gram, point)
+        assert not degenerate.any()
+        assert reject.tolist() == expected
 
-    @pytest.mark.parametrize(
-        "space, config, genes", [KERNEL_CASES[i] for i in (0, 3, 6, 9)] + EXPERIMENT_CASES
-    )
+    @pytest.mark.parametrize("space, config, genes", KERNEL_CASES)
     def test_chunking_does_not_change_values(self, space, config, genes, monkeypatch):
+        """One replication per block, and all of nsim in one block."""
         c = Chromosome(genes)
         base = estimate_power(c, space, config, 3)
-        # One replication and all of nsim, per matmul chunk and per
-        # Cholesky block.
-        for chunk_bytes in (1, 1 << 40):
-            for block_rows in (1, 1 << 40):
-                monkeypatch.setattr(oracle_mod, "_CHUNK_BYTES", chunk_bytes)
-                monkeypatch.setattr(oracle_mod, "_BLOCK_ROWS", block_rows)
-                assert estimate_power(c, space, config, 3) == base
+        for block_rows in (1, 1 << 40):
+            monkeypatch.setattr(oracle_mod, "_BLOCK_ROWS", block_rows)
+            assert estimate_power(c, space, config, 3) == base
 
     def test_critical_value_inverts_f_cdf(self):
         for k, df in ((1, 98), (3, 46), (2, 1)):
@@ -300,44 +335,130 @@ class TestBatchedKernel:
             assert f_cdf(crit, k, df) == pytest.approx(0.95, abs=1e-12)
 
 
-def _edited_regressors(rows_to_break, edit):
-    """Wrap the Gram kernel so that the replications whose first noise draw
-    is in rows_to_break (all of them, for None) have their regressor draws
-    changed in place by edit: an (rows, n, p) array under the normal scheme,
-    the measure x2 as an (rows, n, 1) array under the experiment scheme."""
+def chi2_rule(df, nodes):
+    """Nodes and weights with sum(w * f(x)) ~= E f(S), S ~ chi2(df):
+    Gauss-Legendre between the 1e-16 quantiles, the density folded into the
+    weights. The density must be smooth there, so df >= 2."""
+    lo, hi = stats.chi2.ppf(1e-16, df), stats.chi2.isf(1e-16, df)
+    t, w = roots_legendre(nodes)
+    x = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
+    return x, 0.5 * (hi - lo) * w * stats.chi2.pdf(x, df)
+
+
+def exact_normal_power(tested_betas, n, p, sigma2, alpha):
+    """Random-design power of the F test of k of p slopes (the t test when
+    k = 1) under the normal scheme: given the design, F is noncentral
+    F(k, n-p-1) with noncentrality ||beta_T||^2 S / sigma2, where
+    S ~ chi2(n - 1 - (p - k)); the untested slopes drop out."""
+    k, df = len(tested_betas), n - p - 1
+    s, w = chi2_rule(n - 1 - (p - k), 192)
+    lam = np.sum(np.square(tested_betas)) * s / sigma2
+    return float(w @ stats.ncf.sf(stats.f.isf(alpha, k, df), k, df, lam))
+
+
+def exact_interaction_power(beta3, n, sigma2, alpha):
+    """Random-design power of the test of the interaction under the
+    experiment scheme: the fit splits into one regression on x2 per
+    condition, so F(1, n-4) has noncentrality
+    4 beta3^2 / (sigma2 (1/S+ + 1/S-)) with S- ~ chi2(n//2 - 1) and
+    S+ ~ chi2(n - n//2 - 1) independent."""
+    half, df = n // 2, n - 4
+    sm, wm = chi2_rule(half - 1, 96)
+    sp, wp = chi2_rule(n - half - 1, 96)
+    lam = 4.0 * beta3**2 / (sigma2 * (1.0 / sp[:, None] + 1.0 / sm[None, :]))
+    return float(wp @ stats.ncf.sf(stats.f.isf(alpha, 1, df), 1, df, lam) @ wm)
+
+
+LAW_NSIM = 200_000
+# Seven law checks, each two-sided at 4 SE (a normal tail of 6.3e-5): a
+# sampler with the right law fails any of them with probability under 5e-4.
+LAW_BAND = 4.0
+INTERACTION = TestSpec((3,), "f_joint")
+LAW_POINTS = [
+    pytest.param([1.5, 0.5], 4, TestSpec((1,), "t_single"), "normal",
+                 exact_normal_power([1.5], 4, 2, 1.0, 0.05), id="desk-t-df1"),
+    pytest.param([0.3, 0.5], 60, TestSpec((1,), "t_single"), "normal",
+                 exact_normal_power([0.3], 60, 2, 1.0, 0.05), id="desk-t-n60"),
+    pytest.param([0.2, 0.3], 40, TestSpec((1, 2), "f_joint"), "normal",
+                 exact_normal_power([0.2, 0.3], 40, 2, 1.0, 0.05), id="two-slope-f"),
+    pytest.param([0.2, 0.6, 0.25], 50, INTERACTION, "experiment",
+                 exact_interaction_power(0.25, 50, 1.0, 0.05), id="interaction-n50"),
+    pytest.param([0.2, 0.6, 0.25], 55, INTERACTION, "experiment",
+                 exact_interaction_power(0.25, 55, 1.0, 0.05), id="interaction-n55"),
+    pytest.param([0.2, 0.6, 0.1], 500, INTERACTION, "experiment",
+                 exact_interaction_power(0.1, 500, 1.0, 0.05), id="interaction-n500"),
+]
+
+
+class TestSamplerLaw:
+    @pytest.mark.parametrize("betas, n, test, scheme, exact", LAW_POINTS)
+    def test_matches_exact_power(self, betas, n, test, scheme, exact):
+        config = OracleConfig(LAW_NSIM, 0.05, 1.0, test, scheme)
+        estimate = estimate_power(Chromosome((0,) * (len(betas) + 1)), point_space(betas, n), config, 5)
+        assert abs(estimate - exact) <= LAW_BAND * np.sqrt(exact * (1 - exact) / LAW_NSIM)
+
+    def test_singular_wishart_half_matches_scalar_path(self):
+        """Experiment scheme at n = 5: the x1 = -1 half has m - 1 = 1 < q = 2
+        and a singular Wishart, and chi2(1) has no smooth density for the
+        quadrature above, so the reference is drawn rows."""
+        space, genes = point_space([0.2, 0.6, 3.0], 5), Chromosome((0, 0, 0, 0))
+        scalar = OracleConfig(20_000, 0.05, 1.0, INTERACTION, "experiment")
+        config = OracleConfig(LAW_NSIM, 0.05, 1.0, INTERACTION, "experiment")
+        estimate = estimate_power(genes, space, config, 5)
+        reference = scalar_power(genes, space, scalar, 5)
+        pooled = (estimate * config.nsim + reference * scalar.nsim) / (config.nsim + scalar.nsim)
+        se = np.sqrt(pooled * (1 - pooled) * (1 / config.nsim + 1 / scalar.nsim))
+        assert abs(estimate - reference) <= LAW_BAND * se
+
+
+def _edited_moments(keys, edit):
+    """Wrap the Gram kernel so that the replications whose first group's
+    sum of e is in keys (all of them, for None) have their moment matrices
+    changed by edit, as if their rows had been: a (groups, q+1, q+1, hits)
+    array over (1, e, drawn regressors)."""
     real = oracle_mod._gram
 
-    def broken(draws, point):
-        draws = draws.copy()
-        hit = np.isin(draws[:, 0], rows_to_break) if rows_to_break is not None else slice(None)
-        regressors = draws[:, point.n :].reshape(len(draws), point.n, -1)
-        edited = regressors[hit]
+    def broken(moments, point):
+        moments = moments.copy()
+        hit = np.isin(moments[0, 0, 1], keys) if keys is not None else slice(None)
+        edited = moments[..., hit]
         edit(edited)
-        regressors[hit] = edited
-        return real(draws, point)
+        moments[..., hit] = edited
+        return real(moments, point)
 
     return broken
 
 
-def _zero_regressors(rows_to_break):
+def _zero_regressors(keys):
     """All-zero regressors: a rank-deficient design."""
-    return _edited_regressors(rows_to_break, lambda x: x.fill(0.0))
+
+    def edit(m):
+        m[:, 2:] = 0.0
+        m[:, :, 2:] = 0.0
+
+    return _edited_moments(keys, edit)
 
 
-def _duplicate_regressor(rows_to_break):
+def _duplicate_regressor(keys):
     """Regressor 2 equal to regressor 1: a design whose Gram pivot is
     rounding, not zero."""
 
-    def edit(x):
-        x[:, :, 1] = x[:, :, 0]
+    def edit(m):
+        m[:, 3] = m[:, 2]
+        m[:, :, 3] = m[:, :, 2]
 
-    return _edited_regressors(rows_to_break, edit)
+    return _edited_moments(keys, edit)
 
 
-def _constant_measure(rows_to_break):
-    """Experiment scheme: the measure x2 constant, so x2 is collinear with
-    the intercept and x1 * x2 with x1, up to Gram rounding."""
-    return _edited_regressors(rows_to_break, lambda x: x.fill(0.7))
+def _constant_measure(keys):
+    """Experiment scheme: the measure x2 = 0.7 on every row, so x2 is
+    collinear with the intercept and x1 * x2 with x1, up to Gram rounding."""
+
+    def edit(m):
+        m[:, 2] = 0.7 * m[:, 0]
+        m[:, :, 2] = 0.7 * m[:, :, 0]
+
+    return _edited_moments(keys, edit)
 
 
 def experiment_case(nsim):
@@ -358,20 +479,21 @@ class TestDegenerateDraws:
 
     @staticmethod
     def _check_redrawn(breaker, space, config, genes, monkeypatch):
-        seed, c, rows = 4, Chromosome(genes), (3, 17, 40)
-        _, n = space.decode_params(c)
-        regressors = 1 if config.scheme == "experiment" else space.n_coefficients
-        draws = np.random.default_rng(np.random.SeedSequence((seed, *genes))).standard_normal(
-            (config.nsim, n * (1 + regressors))  # n noise draws, then the regressors
-        )
-        monkeypatch.setattr(oracle_mod, "_gram", breaker(draws[rows, 0]))
+        seed, c, rows = 4, Chromosome(genes), [3, 17, 40]
+        point = oracle_mod._point(c, space, config)
+        moments = oracle_mod._draw_moments(streams((seed, *genes)), config.nsim, point)
+        reject, degenerate = oracle_mod._rejections(oracle_mod._gram(moments, point), point)
+        assert not degenerate.any()
+        broken = breaker(moments[0, 0, 1, rows])
+        _, flagged = oracle_mod._rejections(broken(moments, point), point)
+        assert np.flatnonzero(flagged).tolist() == rows
+        # Each forced row is replaced by attempt 1 on its own streams.
+        for row in rows:
+            redrawn = oracle_mod._draw_moments(streams((seed, *genes, row, 1)), 1, point)
+            reject[row] = oracle_mod._rejections(oracle_mod._gram(redrawn, point), point)[0][0]
+        monkeypatch.setattr(oracle_mod, "_gram", broken)
         got = estimate_power(c, space, config, seed)
-        replacements = {
-            row: np.random.default_rng(np.random.SeedSequence((seed, *genes, row, 1)))
-            for row in rows
-        }
-        assert got == scalar_power(c, space, config, seed, replace=replacements)
-        monkeypatch.setattr(oracle_mod, "_CHUNK_BYTES", 1)
+        assert got == np.count_nonzero(reject) / config.nsim
         monkeypatch.setattr(oracle_mod, "_BLOCK_ROWS", 1)
         assert estimate_power(c, space, config, seed) == got
 
