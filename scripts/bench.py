@@ -22,6 +22,9 @@ Layers:
                                   stubbed by a cheap monotone surface
   knn.index_build_ms,             one DictionaryIndex over 325 desk entries,
   knn.predict_ms                  then one predict of the 1,690 other points
+  knn.interaction_predict_ms      one predict of 1,000 off-grid points over
+                                  6,000 entries of the 59,150-point
+                                  interaction grid
   io.export_ms, io.load_ms        JSON + CSV export, then JSON load, of a
                                   2,015-entry desk dictionary
   e2e.learn_s, e2e.brute_force_s  `powermap learn` / `brute-force` on
@@ -74,6 +77,7 @@ from powermap.config import load_run_config  # noqa: E402
 from powermap.knn import DictionaryIndex  # noqa: E402
 
 DESK = ROOT / "configs" / "desk.json"
+INTERACTION = ROOT / "configs" / "interaction_study.json"
 REPEATS = 15  # runs per layer
 E2E_REPEATS = 3  # runs per end-to-end command
 
@@ -169,6 +173,11 @@ def knn_and_io_layers(repeats: int, scratch: Path) -> dict:
     points = [space.decode(c) for c in space.enumerate_grid() if c not in learned]
     index = DictionaryIndex(learned, space)
     predict_s = median_time(lambda: index.predict(points, 5, "normalized_euclidean"), repeats)
+    wide = load_run_config(INTERACTION).space
+    wide_index = DictionaryIndex(synthetic_dictionary(wide, 6000), wide)
+    lower, upper = (np.array([getattr(r, end) for r in wide.ranges]) for end in ("lower", "upper"))
+    queries = lower + np.random.default_rng(1).random((1000, wide.dimension)) * (upper - lower)
+    wide_s = median_time(lambda: wide_index.predict(queries, 5, "normalized_euclidean"), repeats)
     full = synthetic_dictionary(space, space.grid_size)
     json_path, csv_path = scratch / "bench_dictionary.json", scratch / "bench_dictionary.csv"
 
@@ -180,6 +189,7 @@ def knn_and_io_layers(repeats: int, scratch: Path) -> dict:
         "knn.index_build_ms": 1e3 * median_time(lambda: DictionaryIndex(learned, space), repeats),
         "knn.predict_ms": 1e3 * predict_s,
         "knn.per_query_us": 1e6 * predict_s / len(points),
+        "knn.interaction_predict_ms": 1e3 * wide_s,
         "io.export_ms": 1e3 * median_time(export, repeats),
         "io.load_ms": 1e3 * median_time(lambda: io_mod.load_dictionary_json(json_path), repeats),
     }

@@ -157,26 +157,53 @@ def export_dictionary_csv(path, dictionary: PowerDictionary, space: SearchSpace)
             writer.writerow([f"{v:.6f}" for v in values] + [f"{power:.6f}"])
 
 
+def _entry_template(dimension: int) -> str:
+    """One entry as json.dump(..., indent=1) lays it out in "entries": %d
+    for each gene, %r for each value and %s for the power."""
+
+    def listed(name: str, spec: str) -> str:
+        return f'   "{name}": [\n' + ",\n".join([f"    {spec}"] * dimension) + "\n   ],\n"
+
+    return "  {\n" + listed("genes", "%d") + listed("values", "%r") + '   "power": %s\n  }'
+
+
 def export_dictionary_json(
     path,
     dictionary: PowerDictionary,
     space: SearchSpace,
     metadata: dict[str, Any],
 ) -> None:
+    """Writes the bytes of json.dump(payload, fh, indent=1) and a newline.
+
+    An indent sends json to its pure-Python encoder, several times slower
+    than the C one, so only the head goes through json. Each entry fills a
+    fixed template with the tokens json writes: the gene integers, the repr
+    of each value (floats from decode_many), and the C encoder's token for
+    the power.
+    """
     items = dictionary.sorted_items()
     decoded = space.decode_many([chromosome.genes for chromosome, _ in items]).tolist()
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "search_space": space_to_dict(space),
-        "metadata": metadata,
-        "entries": [
-            {"genes": list(chromosome.genes), "values": values, "power": power}
-            for (chromosome, power), values in zip(items, decoded)
-        ],
-    }
+    powers = json.dumps([power for _, power in items])[1:-1].split(", ")
+    head = json.dumps(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "search_space": space_to_dict(space),
+            "metadata": metadata,
+            "entries": [],
+        },
+        indent=1,
+    )
+    template = _entry_template(space.dimension)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        if not items:
+            fh.write(head + "\n")
+            return
+        fh.write(head[: -len("[]\n}")] + "[\n")  # head ends in '"entries": []\n}'
+        separator = ""
+        for (chromosome, _), values, power in zip(items, decoded, powers):
+            fh.write(separator + template % (*chromosome.genes, *values, power))
+            separator = ",\n"
+        fh.write("\n ]\n}\n")
 
 
 def load_dictionary_json(path) -> tuple[PowerDictionary, SearchSpace, dict[str, Any]]:

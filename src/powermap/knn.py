@@ -5,6 +5,21 @@ rescales every dimension by its range span before the Euclidean norm;
 otherwise the sample-size axis, hundreds of times wider than the coefficient
 axes, would dominate every distance. The raw metric is available for
 comparison.
+
+Ranking is exact, and reads only a few candidate entries per query. The
+entries fall into groups that share every coordinate but one, on the free
+axis: the finest in distance units (on the shipped grids, the sample size
+under the normalized metric and a coefficient under the raw one). A group's
+bound is the distance over its shared coordinates, summed in the same order
+as a full distance with the free axis's term left out. Adding a term >= 0
+never lowers a float sum and sqrt is monotone, so the bound is at most the
+float distance of each entry of the group, bit for bit. Per query, the k
+groups with the smallest bounds (all of them, when there are fewer) hold at
+least k entries, so the k-th smallest distance U over their entries is at
+least d_k, the true k-th smallest. Every entry within d_k + _TIE_TOL
+therefore lies in a group whose bound is within U + _TIE_TOL. Ranking just
+those entries by the tie rule gives the rows and distances of a full scan,
+ties included.
 """
 
 from __future__ import annotations
@@ -23,8 +38,9 @@ METRICS = ("normalized_euclidean", "raw_euclidean")
 # grids differ by at least 2.7e-6 under either metric.
 _TIE_TOL = 1e-9
 
-# Query points are ranked in blocks of about this many bytes of distances.
-_CHUNK_BYTES = 128 * 1024
+# Query points are ranked in blocks of about this many bytes of group bounds
+# and near-group distances.
+_CHUNK_BYTES = 256 * 1024
 
 
 class QueryError(ValueError):
@@ -76,6 +92,52 @@ def _scales(space: SearchSpace, metric: str) -> np.ndarray:
     return np.divide(1.0, spans, out=np.zeros_like(spans), where=spans > 0)
 
 
+def _distances(columns: np.ndarray, coordinates: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """sqrt(sum_j ((columns[j] - coordinates[j]) * scales[j])**2), summed one
+    dimension at a time in order, broadcast over the trailing axes."""
+    squares = np.zeros(np.broadcast_shapes(columns.shape[1:], coordinates.shape[1:]))
+    for column, coordinate, scale in zip(columns, coordinates, scales):
+        delta = column - coordinate
+        delta *= scale
+        delta *= delta
+        squares += delta
+    return np.sqrt(squares, out=squares)
+
+
+def _firsts(query: np.ndarray, m: int) -> np.ndarray:
+    """Where each of queries 0..m-1 starts in the ascending array query."""
+    counts = np.bincount(query, minlength=m)
+    return np.cumsum(counts) - counts
+
+
+def _kth(query: np.ndarray, values: np.ndarray, m: int, k: int) -> np.ndarray:
+    """The k-th smallest of the values of each of queries 0..m-1, where the
+    ascending array query names each value's query (each has at least k)."""
+    column = np.arange(len(query)) - _firsts(query, m)[query]
+    each = np.full((m, column.max() + 1), np.inf)
+    each[query, column] = values
+    return each[np.arange(m), np.argpartition(each, k - 1, axis=1)[:, k - 1]]
+
+
+class _Groups:
+    """The entries in runs that share every coordinate but the free axis's,
+    each run (group) given by its start and size in the row order `order`."""
+
+    def __init__(self, genes: np.ndarray, columns: np.ndarray, free: int) -> None:
+        self.kept = [j for j in range(genes.shape[1]) if j != free]
+        # Sorted by the kept genes, then the free one: gene order when the
+        # free axis is the last.
+        self.order = np.lexsort(genes[:, [free] + self.kept[::-1]].T)
+        kept = columns[self.kept][:, self.order]
+        self.starts = np.flatnonzero(np.r_[True, np.any(kept[:, 1:] != kept[:, :-1], axis=0)])
+        self.sizes = np.diff(self.starts, append=len(genes))
+        self.columns = kept[:, self.starts]
+
+    def query_bytes(self, k: int) -> int:
+        """At most the bytes of one query's bounds and near-group distances."""
+        return 8 * (len(self.starts) + min(k, len(self.starts)) * int(self.sizes.max()))
+
+
 class DictionaryIndex:
     """Decoded dictionary entries as arrays, for repeated queries."""
 
@@ -88,9 +150,35 @@ class DictionaryIndex:
         self.genes = np.array([c.genes for c, _ in entries])
         self.powers = np.array([v for _, v in entries])
         self.columns = np.ascontiguousarray(space.decode_many(self.genes).T)
+        self._groups: dict[int, _Groups] = {}
 
     def __len__(self) -> int:
         return len(self.chromosomes)
+
+    def _grouped(self, scales: np.ndarray) -> _Groups:
+        """The groups whose free axis is the finest in distance units, the
+        last of equals. On the shipped grids that is the sample size under
+        the normalized metric, and a coefficient under the raw one, where
+        the sample size dominates every distance so that a bound without it
+        would prune nothing. Zero-scale axes add nothing to any distance and
+        are free only when every axis is."""
+        steps = np.array([r.step for r in self.space.ranges]) * scales
+        finest = np.where(steps > 0, steps, np.inf)[::-1]
+        free = len(finest) - 1 - int(np.argmin(finest))
+        if free not in self._groups:
+            self._groups[free] = _Groups(self.genes, self.columns, free)
+        return self._groups[free]
+
+    def _entries(
+        self, groups: _Groups, block: np.ndarray, scales: np.ndarray, query: np.ndarray, group: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Query, row and distance of every entry of each (query, group)
+        pair, as flat arrays, pair by pair."""
+        sizes = groups.sizes[group]
+        ends = np.cumsum(sizes)
+        positions = np.arange(sizes.sum()) + np.repeat(groups.starts[group] - (ends - sizes), sizes)
+        query, row = np.repeat(query, sizes), groups.order[positions]
+        return query, row, _distances(self.columns[:, row], block[query].T, scales)
 
     def _rank(self, points: np.ndarray, k: int, metric: str) -> tuple[np.ndarray, np.ndarray]:
         """Rows and distances, both (m, k), of the k nearest entries to each
@@ -106,40 +194,43 @@ class DictionaryIndex:
         if not np.isfinite(points).all():
             raise QueryError("query points must be finite")
         scales = _scales(self.space, metric)
+        groups = self._grouped(scales)
         rows = np.empty((len(points), k), dtype=np.intp)
         distances = np.empty((len(points), k))
-        step = max(1, _CHUNK_BYTES // (8 * len(self)))
+        step = max(1, _CHUNK_BYTES // groups.query_bytes(k))
         for start in range(0, len(points), step):
-            block = points[start : start + step]
-            # Summed one dimension at a time, in order: the same rounding as
-            # a row sum over the dimensions, without an (m, n, d) array.
-            squares = np.zeros((len(block), len(self)))
-            for j in range(dimension):
-                delta = self.columns[j] - block[:, j, None]
-                delta *= scales[j]
-                delta *= delta
-                squares += delta
-            dist = np.sqrt(squares, out=squares)
-            # Only entries within _TIE_TOL of the k-th smallest distance can
-            # be among the k nearest. Every row takes as many entries as the
-            # widest row needs; its extra ones are moved out of any tie.
-            order = np.argpartition(dist, k - 1, axis=1)
-            r = np.arange(len(block))[:, None]
-            bound = dist[r, order[:, k - 1 : k]] + _TIE_TOL
-            width = int((dist <= bound).sum(axis=1).max())
-            if width > k:
-                order = np.argpartition(dist, width - 1, axis=1)
-            near = order[:, :width]
-            near_dist = np.where(dist[r, near] > bound, bound + 1.0, dist[r, near])
-            # Ascending by distance, then row: each entry within _TIE_TOL of
-            # the one before it is tied with it, and ties go to the lower row.
-            ascending = np.lexsort((near, near_dist), axis=1)
-            near, near_dist = near[r, ascending], near_dist[r, ascending]
-            gaps = np.diff(near_dist, axis=1, prepend=near_dist[:, :1]) > _TIE_TOL
-            top = np.argsort(np.cumsum(gaps, axis=1) * len(self) + near, axis=1)[:, :k]
-            rows[start : start + step] = near[r, top]
-            distances[start : start + step] = near_dist[r, top]
+            block = slice(start, start + step)
+            rows[block], distances[block] = self._rank_block(groups, points[block], scales, k)
         return rows, distances
+
+    def _rank_block(
+        self, groups: _Groups, block: np.ndarray, scales: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """_rank of one block of query points."""
+        m = len(block)
+        bounds = _distances(groups.columns, block.T[groups.kept, :, None], scales[groups.kept])
+        # The near groups: the k (or all) with the smallest bounds. U, the
+        # k-th smallest distance over their entries, is at least d_k, the
+        # k-th smallest over all entries.
+        near = min(k, len(groups.starts))
+        nearest = np.argpartition(bounds, near - 1, axis=1)[:, :near]
+        query, row, dist = self._entries(groups, block, scales, np.repeat(np.arange(m), near), nearest.ravel())
+        reach = _kth(query, dist, m, k) + _TIE_TOL
+        # Every entry within d_k + _TIE_TOL lies in a group whose bound is
+        # within U + _TIE_TOL. Of those groups' entries, the candidates are
+        # the ones within U + _TIE_TOL, ascending by query, then distance.
+        # Each entry within _TIE_TOL of the one before it is tied with it,
+        # and ties go to the lower row.
+        query, row, dist = self._entries(groups, block, scales, *np.nonzero(bounds <= reach[:, None]))
+        keep = dist <= reach[query]
+        query, row, dist = query[keep], row[keep], dist[keep]
+        order = np.lexsort((dist, query))
+        query, row, dist = query[order], row[order], dist[order]
+        within = dist <= dist[_firsts(query, m) + k - 1][query] + _TIE_TOL
+        query, row, dist = query[within], row[within], dist[within]
+        ties = np.cumsum(np.diff(dist, prepend=dist[:1]) > _TIE_TOL)
+        top = np.lexsort((row, ties, query))[_firsts(query, m)[:, None] + np.arange(k)]
+        return row[top], dist[top]
 
     def nearest(self, query: NeighborQuery) -> list[Neighbor]:
         point = np.asarray(query.point, dtype=float).reshape(1, -1)

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from powermap import Chromosome, ParameterRange, PowerDictionary, SearchSpace
+from powermap.cli import main
 from powermap.io import (
     FormatError,
     export_dictionary_csv,
@@ -92,6 +96,61 @@ class TestJsonDictionary:
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match=re.escape(named)):
             load_dictionary_json(path)
+
+
+DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
+
+
+def json_dump_bytes(dictionary, space, metadata) -> bytes:
+    """What json.dump(payload, fh, indent=1) and a newline write."""
+    items = dictionary.sorted_items()
+    decoded = space.decode_many([c.genes for c, _ in items]).tolist()
+    payload = {
+        "schema_version": 1,
+        "search_space": space_to_dict(space),
+        "metadata": metadata,
+        "entries": [
+            {"genes": list(c.genes), "values": values, "power": power}
+            for (c, power), values in zip(items, decoded)
+        ],
+    }
+    return (json.dumps(payload, indent=1) + "\n").encode()
+
+
+class TestJsonExportBytes:
+    """export_dictionary_json writes exactly the bytes of json.dump with
+    indent=1, without running json's pure-Python encoder."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["learn"], ["brute-force", "--nsim", "40", "--workers", "2"]],
+        ids=["desk-learn", "brute-force-2-workers"],
+    )
+    def test_cli_exports(self, tmp_path, command):
+        argv = [*command, "-c", str(DESK), "--out-dir", str(tmp_path), "--prefix", "x"]
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+        written = (tmp_path / "x_dictionary.json").read_bytes()
+        dictionary, space, metadata = load_dictionary_json(tmp_path / "x_dictionary.json")
+        assert len(dictionary) > 300
+        assert written == json_dump_bytes(dictionary, space, metadata)
+
+    @pytest.mark.parametrize(
+        "powers",
+        [[], [1e-05], [0.30000000000000004, 0.1, 1.0, 0.0], [5e-324, 1 / 3, 0.9999999999999999]],
+        ids=["no-entries", "tiny", "rounding", "extremes"],
+    )
+    def test_exact_tokens(self, tmp_path, powers):
+        space = sample_space()
+        d = PowerDictionary()
+        for i, power in enumerate(powers):
+            d.insert(Chromosome((i % 5, i, 30 - i)), power)
+        metadata = {"command": "t", "nested": {"list": [1, 2.5, None, "s"], "empty": {}}}
+        path = tmp_path / "dict.json"
+        export_dictionary_json(path, d, space, metadata)
+        assert path.read_bytes() == json_dump_bytes(d, space, metadata)
+        loaded, _, _ = load_dictionary_json(path)
+        assert dict(loaded.items()) == dict(d.items())
 
 
 class TestCsvDictionary:

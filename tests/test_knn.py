@@ -280,7 +280,8 @@ class TestBatchedPredict:
         index, _, points = desk
         want = index.predict(points, 7, "normalized_euclidean")
         block = 1 if queries_per_block == "one" else len(points)
-        monkeypatch.setattr(knn, "_CHUNK_BYTES", 8 * len(index) * block)
+        groups = index._grouped(knn._scales(index.space, "normalized_euclidean"))
+        monkeypatch.setattr(knn, "_CHUNK_BYTES", groups.query_bytes(7) * block)
         assert np.array_equal(index.predict(points, 7, "normalized_euclidean"), want)
 
     def test_zero_points(self, desk):
@@ -306,3 +307,177 @@ class TestBatchedPredict:
         index, _, _ = desk
         with pytest.raises(QueryError, match=match):
             index.predict([point], k, metric)
+
+
+def full_scan(index, points, k, metric):
+    """Rows and distances of the k nearest entries by exhaustive scan: every
+    distance, summed one dimension at a time in order, then the tie rule in
+    plain Python. Entries within _TIE_TOL of the k-th smallest distance are
+    ranked by distance, each within _TIE_TOL of the one before it tied with
+    it, and ties go to the lower row."""
+    scales = knn._scales(index.space, metric)
+    squares = np.zeros((len(points), len(index)))
+    for j in range(index.space.dimension):
+        delta = (index.columns[j] - points[:, j, None]) * scales[j]
+        squares += delta * delta
+    rows, distances = [], []
+    for dist in np.sqrt(squares).tolist():
+        ascending = sorted(range(len(dist)), key=lambda r: (dist[r], r))
+        reach = dist[ascending[k - 1]] + knn._TIE_TOL
+        tie, ties, previous = 0, {}, None
+        for r in ascending:
+            if dist[r] > reach:
+                break
+            if previous is not None and dist[r] - previous > knn._TIE_TOL:
+                tie += 1
+            ties[r], previous = tie, dist[r]
+        top = sorted(ties, key=lambda r: (ties[r], r))[:k]
+        rows.append(top)
+        distances.append([dist[r] for r in top])
+    return np.array(rows), np.array(distances)
+
+
+# Squared steps of the interaction grid below, times 32,400: exact integers.
+INTERACTION_WEIGHTS = {
+    "normalized_euclidean": np.array([2025, 225, 400, 4]),  # steps 1/4, 1/12, 1/9, 1/90
+    "raw_euclidean": np.array([1, 1, 1, 10_000]),  # steps 0.05, 0.05, 0.05, 5
+}
+
+
+def interaction_space(n_upper=500):
+    """The shipped interaction study's grid (5 x 13 x 10 x 91 points)."""
+    return SearchSpace(
+        coefficient_ranges=(
+            ParameterRange(0.10, 0.30, 0.05),
+            ParameterRange(0.30, 0.90, 0.05),
+            ParameterRange(0.05, 0.50, 0.05),
+        ),
+        sample_size_range=ParameterRange(50, n_upper, 5),
+    )
+
+
+def random_dictionary(space, size, rng):
+    flat = rng.choice(space.grid_size, size=size, replace=False)
+    d = PowerDictionary()
+    for genes in np.array(np.unravel_index(flat, space.grid_counts)).T.tolist():
+        d.insert(Chromosome(tuple(genes)), float(rng.integers(0, 1001)) / 1000)
+    return d
+
+
+def random_queries(space, kind, count, rng):
+    """Off-grid points in the box, grid points, or points around the box up
+    to a span beyond each side."""
+    lower = np.array([r.lower for r in space.ranges])
+    upper = np.array([r.upper for r in space.ranges])
+    if kind == "on-grid":
+        genes = np.column_stack([rng.integers(0, c, count) for c in space.grid_counts])
+        return space.decode_many(genes)
+    if kind == "off-grid":
+        return lower + rng.random((count, len(lower))) * (upper - lower)
+    span = np.maximum(upper - lower, 1.0)
+    return lower - span + rng.random((count, len(lower))) * 3 * span
+
+
+def assert_ranked_exactly(index, points, k, metric):
+    rows, distances = index._rank(points, k, metric)
+    want_rows, want_distances = full_scan(index, points, k, metric)
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(distances, want_distances)  # bit for bit
+
+
+class TestPrunedRanking:
+    """The pruned ranking returns the rows and distances of an exhaustive
+    scan, ties included."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 400),
+        kind=st.sampled_from(["off-grid", "on-grid", "outside"]),
+        metric=st.sampled_from(knn.METRICS),
+        k=st.sampled_from(["one", "some", "all"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_interaction_grid_equals_full_scan(self, seed, size, kind, metric, k):
+        space = interaction_space(n_upper=150)  # 5 x 13 x 10 x 21 points
+        rng = np.random.default_rng(seed)
+        index = DictionaryIndex(random_dictionary(space, size, rng), space)
+        k = {"one": 1, "some": int(rng.integers(1, min(size, 12) + 1)), "all": size}[k]
+        assert_ranked_exactly(index, random_queries(space, kind, 25, rng), k, metric)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        counts=st.tuples(*[st.integers(1, 4)] * 3, st.integers(1, 12)),
+        size=st.integers(1, 60),
+        kind=st.sampled_from(["off-grid", "on-grid", "outside"]),
+        metric=st.sampled_from(knn.METRICS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_zero_span_and_small_grids_equal_full_scan(self, seed, counts, size, kind, metric):
+        """Grids with single-point (zero-span) dimensions, where every
+        dimension's scale may be 0 under the normalized metric."""
+        steps = (0.1, 0.25, 0.05)
+        space = SearchSpace(
+            coefficient_ranges=tuple(
+                ParameterRange(0.2, 0.2 + (c - 1) * s, s) for c, s in zip(counts, steps)
+            ),
+            sample_size_range=ParameterRange(10, 10 + (counts[3] - 1) * 10, 10),
+        )
+        rng = np.random.default_rng(seed)
+        size = min(size, space.grid_size)
+        index = DictionaryIndex(random_dictionary(space, size, rng), space)
+        for k in sorted({1, int(rng.integers(1, size + 1)), size}):
+            assert_ranked_exactly(index, random_queries(space, kind, 15, rng), k, metric)
+
+    @pytest.mark.parametrize("metric", knn.METRICS)
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_lattice_queries_match_exact_arithmetic(self, metric, k):
+        """Grid points as queries, the ties decided in integers."""
+        space = interaction_space()
+        rng = np.random.default_rng(9)
+        index = DictionaryIndex(random_dictionary(space, 2000, rng), space)
+        genes = np.column_stack([rng.integers(0, c, 1000) for c in space.grid_counts])
+        rows, _ = index._rank(space.decode_many(genes), k, metric)
+        weights = INTERACTION_WEIGHTS[metric]
+        for start in range(0, len(genes), 100):
+            block = genes[start : start + 100, None, :]
+            key = ((index.genes - block) ** 2 * weights).sum(axis=2)
+            row = np.broadcast_to(np.arange(len(index)), key.shape)
+            want = np.lexsort((row, key), axis=1)[:, :k]
+            assert np.array_equal(rows[start : start + 100], want)
+
+    @pytest.mark.parametrize("metric", knn.METRICS)
+    def test_one_group(self, metric):
+        """Entries that differ only in the sample size: one group under the
+        normalized metric."""
+        space = interaction_space()
+        d = fill(space, {(2, 6, 3, n): n / 100 for n in range(0, 91, 3)})
+        index = DictionaryIndex(d, space)
+        if metric == "normalized_euclidean":
+            assert len(index._grouped(knn._scales(space, metric)).starts) == 1
+        points = random_queries(space, "off-grid", 40, np.random.default_rng(4))
+        for k in (1, 5, len(index)):
+            assert_ranked_exactly(index, points, k, metric)
+
+    @pytest.mark.parametrize("metric", knn.METRICS)
+    def test_one_entry_per_group(self, metric):
+        """One sample size per coefficient triple: every group one entry
+        under the normalized metric."""
+        space = interaction_space()
+        rng = np.random.default_rng(5)
+        d = fill(space, {
+            (a, b, c, int(rng.integers(0, 91))): float(rng.random())
+            for a in range(5) for b in range(0, 13, 2) for c in range(0, 10, 3)
+        })
+        index = DictionaryIndex(d, space)
+        if metric == "normalized_euclidean":
+            assert set(index._grouped(knn._scales(space, metric)).sizes) == {1}
+        points = random_queries(space, "off-grid", 40, np.random.default_rng(6))
+        for k in (1, 5, len(index)):
+            assert_ranked_exactly(index, points, k, metric)
+
+    def test_free_axis_is_the_finest(self):
+        """Normalized: the sample size (90 steps); raw: a coefficient (0.05
+        against 5), the last of the equally fine ones."""
+        index = DictionaryIndex(fill(interaction_space(), {(0, 0, 0, 0): 0.5}), interaction_space())
+        for metric, kept in (("normalized_euclidean", [0, 1, 2]), ("raw_euclidean", [0, 1, 3])):
+            assert index._grouped(knn._scales(index.space, metric)).kept == kept
