@@ -15,11 +15,15 @@ Layers:
   oracle.interaction_point_ms.n*  one interaction-brute point (partial F test
                                   of slope 3, experiment scheme, nsim 1000)
                                   at n = 50, 500
+  oracle.desk_generation_ms       PowerOracle.evaluate_many over a fixed
+                                  10-point desk batch, the size of a desk GA
+                                  generation's new members
   oracle.fanout_ms.w*             PowerOracle.evaluate_many over the 20-point
                                   interaction-brute sub-box with 1 and 2
                                   workers, the pool's start included
-  ga.bookkeeping_ms               ga.run on the desk config with the oracle
-                                  stubbed by a cheap monotone surface
+  ga.bookkeeping_ms               ga.run on the desk config with the oracle's
+                                  batch function, estimate_many, stubbed by a
+                                  cheap monotone surface
   knn.index_build_ms,             one DictionaryIndex over 325 desk entries,
   knn.predict_ms                  then one predict of the 1,690 other points
   knn.interaction_predict_ms      one predict of 1,000 off-grid points over
@@ -119,6 +123,11 @@ def oracle_layers(repeats: int) -> dict:
         chromosome = Chromosome((2, 6, (n - 50) // 5))  # beta = (0.2, 0.6)
         seconds = median_time(lambda: estimate_power(chromosome, desk.space, desk.oracle, 2022), repeats)
         out[f"oracle.desk_point_ms.n{n}"] = 1e3 * seconds
+    grid = list(desk.space.enumerate_grid())
+    batch = [grid[i] for i in np.random.default_rng(0).choice(len(grid), 10, replace=False)]
+    generation = PowerOracle(desk.space, desk.oracle, 2022)
+    seconds = median_time(lambda: generation.evaluate_many(batch), repeats)
+    out["oracle.desk_generation_ms"] = 1e3 * seconds
     space, config = interaction_subbox()
     for j, n in enumerate((50, 500)):
         chromosome = Chromosome((0, 0, 5, j))  # interaction 0.3
@@ -142,16 +151,16 @@ def ga_layer(repeats: int) -> dict:
     counts = desk.space.grid_counts
     scale = (counts[0] - 1) * (counts[-1] - 1)
 
-    def stub(chromosome, space, config, master_seed):
-        return chromosome.genes[0] * chromosome.genes[-1] / scale
+    def stub(chromosomes, space, config, master_seed):
+        return [c.genes[0] * c.genes[-1] / scale for c in chromosomes]
 
     ga = GaConfig(population_size=200, iterations=30, master_seed=1)
-    real = oracle_mod.estimate_power
-    oracle_mod.estimate_power = stub
+    real = oracle_mod.estimate_many
+    oracle_mod.estimate_many = stub
     try:
         seconds = median_time(lambda: run(desk.space, desk.oracle, ga, oracle_seed=2022), repeats)
     finally:
-        oracle_mod.estimate_power = real
+        oracle_mod.estimate_many = real
     return {
         "ga.bookkeeping_ms": 1e3 * seconds,
         "ga.bookkeeping_ms_per_generation": 1e3 * seconds / (ga.iterations + 1),

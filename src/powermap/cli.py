@@ -167,7 +167,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    k = _predictor(args).k
+    predictor = _predictor(args)
+    if predictor.metric != PredictorConfig.metric:
+        raise ValueError(
+            f"predictor.metric: evaluate scores with {PredictorConfig.metric} only, "
+            f"got {predictor.metric!r}"
+        )
+    k = predictor.k
     ga_dict, ga_space, ga_meta = io_mod.load_dictionary_json(args.ga)
     brute_dict, brute_space, _ = io_mod.load_dictionary_json(args.brute)
     if ga_space != brute_space:

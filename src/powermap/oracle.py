@@ -1,4 +1,4 @@
-"""Monte-Carlo oracle for the rejection probability at one grid point.
+"""Monte-Carlo oracle for the rejection probability at grid points.
 
 The estimate is a pure function of (chromosome, oracle settings, master seed).
 Each grid point has two generators, spawned from one seed sequence keyed on
@@ -6,6 +6,14 @@ the master seed and the chromosome's integer coordinates: one for standard
 normals, one for chi-squares. Each replication takes a fixed number of values
 from each, in order, so repeated queries agree bit-for-bit regardless of call
 order, worker placement, or how the replications are blocked.
+
+One call estimates all of its points in one pass, in blocks of whole points
+(points x replications arrays). Only the draws are made point by point; the
+moment products, the Gram matrices and the test run once per block, with
+each point's sample size, slopes and critical value broadcast over its
+replications. Every step after the draws is elementwise per replication, so
+an estimate does not depend on which other points share its call or its
+blocks.
 
 A replication's n rows are never drawn. The F test reads a sample only
 through the Gram matrix of its design [intercept, untested slopes, tested
@@ -44,6 +52,7 @@ critical value per (slopes tested, df, alpha) decides every replication.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -56,10 +65,13 @@ from .regression import REGRESSOR_SCHEMES, TestSpec
 from .special import f_cdf
 
 _MAX_REDRAWS = 10
-# Replications per block of draws and Gram matrices: bounds the working set
-# for any nsim without changing any value, since each generator is read
-# row-major, one replication's values after another.
-_BLOCK_ROWS = 4096
+# Replications per block of draws and Gram matrices. A call's points share
+# blocks: a block holds as many whole points as fit, or part of one point
+# with more replications. The size bounds the working set for any nsim and
+# any batch without changing any value: each generator is read row-major,
+# one replication's values after another, and every step after the draws is
+# elementwise per replication.
+_BLOCK_ROWS = 1024
 # A slope column is degenerate when its Cholesky pivot d_j is at most
 # (_PIVOT_TOL + Gram rounding) * G_jj. Here d_j / G_jj is the squared sine of
 # the angle between column j and the span of the j columns before it. A Gram
@@ -74,6 +86,7 @@ _BLOCK_ROWS = 4096
 # design comes that close to collinear with probability of order
 # 1e-10 ** ((n - j) / 2), at most ~1e-10 per replication.
 _PIVOT_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 class OracleError(RuntimeError):
@@ -121,17 +134,21 @@ def critical_value(k: int, df: int, alpha: float) -> float:
 
 
 @dataclass(frozen=True)
-class _Point:
-    """What the kernel needs to know about one grid point."""
+class _Points:
+    """What the kernel needs to know about grid points that share a space and
+    an oracle config: the shared fields, then the per-point ones, each with a
+    trailing axis of length 1 so that it broadcasts over a point's
+    replications."""
 
-    n: int
     scheme: str
-    order: list[int]  # regressor behind each slope column: untested, then tested
-    beta: np.ndarray  # slopes in column order
+    order: tuple[int, ...]  # regressor behind each slope column: untested, then tested
     tested: int  # number of tested slopes, the last slope columns
     sigma: float  # noise standard deviation, sqrt(sigma2)
-    critical: float  # F_{1-alpha}(tested, n - p - 1)
-    groups: tuple[int, ...]  # rows per group: (n,), or the x1 = -1 and +1 halves
+    beta: np.ndarray  # (p, points, 1): slopes in column order
+    groups: np.ndarray  # (groups, points, 1): rows per group, (n,) or the x1 = -1 and +1 halves
+    tolerance: np.ndarray  # (points, 1): _PIVOT_TOL + (n + p + 2) * eps, see _PIVOT_TOL
+    df: np.ndarray  # (points, 1): residual degrees of freedom n - p - 1, as floats
+    threshold: np.ndarray  # (points, 1): tested * F_{1-alpha}(tested, df)
 
     @property
     def variables(self) -> int:
@@ -139,79 +156,129 @@ class _Point:
         for normal, the measure x2 for experiment)."""
         return len(self.beta) + 1 if self.scheme == "normal" else 2
 
-
-def _point(chromosome: Chromosome, space: SearchSpace, config: OracleConfig) -> _Point:
-    """The kernel's view of a grid point, after checking that the decoded
-    point fits the model, the test and the scheme."""
-    beta, n = space.decode_params(chromosome)
-    p = len(beta)
-    if n < p + 2:
-        raise OracleError(
-            f"decoded sample size {n} cannot fit {p} slopes plus intercept"
+    def __getitem__(self, at: slice) -> "_Points":
+        """The points at a slice of their indices."""
+        return _Points(
+            self.scheme, self.order, self.tested, self.sigma,
+            self.beta[:, at], self.groups[:, at],
+            self.tolerance[at], self.df[at], self.threshold[at],
         )
-    tested = config.test.tested_indices
+
+
+def _points(chromosomes: Sequence[Chromosome], space: SearchSpace, config: OracleConfig) -> _Points:
+    """The kernel's view of the grid points, decoded in one decode_many.
+
+    Point by point, in order, each must be on the grid and fit the model, the
+    test and the scheme; the first that does not raises what it would raise
+    alone: decode's GridError, then OracleError for n < p + 2, then
+    ValueError for a test or scheme that does not fit p slopes.
+    """
+    p, counts = space.n_coefficients, space.grid_counts
+    tested, k = config.test.tested_indices, len(config.test.tested_indices)
+    misfit = None
     if max(tested) > p:
-        raise ValueError(f"test indices {tested} exceed the {p} coefficients")
-    if config.scheme == "experiment" and p != 3:
-        raise ValueError(f"experiment scheme requires exactly 3 coefficients, got {p}")
+        misfit = ValueError(f"test indices {tested} exceed the {p} coefficients")
+    elif config.scheme == "experiment" and p != 3:
+        misfit = ValueError(f"experiment scheme requires exactly 3 coefficients, got {p}")
+    on_grid = [
+        len(c.genes) == len(counts) and all(map(operator.lt, c.genes, counts)) for c in chromosomes
+    ]
+    off = on_grid.index(False) if False in on_grid else len(chromosomes)
+    values = space.decode_many([c.genes for c in chromosomes[:off]])
+    sizes = values[:, -1].astype(int).tolist()
+    small = next((i for i, n in enumerate(sizes) if n < p + 2), off)
+    first = 0 if misfit is not None else min(small, off)
+    if first < len(chromosomes):
+        if first == off:
+            space.decode(chromosomes[first])  # off the grid: raises GridError
+        if first == small:
+            raise OracleError(
+                f"decoded sample size {sizes[first]} cannot fit {p} slopes plus intercept"
+            )
+        raise misfit
     order = [j for j in range(p) if j + 1 not in tested] + [j - 1 for j in tested]
-    return _Point(
-        n=n,
+    # Each point's scalars in Python floats, the same IEEE operations as on
+    # numpy's float64.
+    tolerance, df, threshold = np.array(
+        [
+            (_PIVOT_TOL + (n + p + 2) * _EPS, n - p - 1, critical_value(k, n - p - 1, config.alpha) * k)
+            for n in sizes
+        ]
+    ).T[:, :, None]
+    n = np.array(sizes)[:, None]
+    return _Points(
         scheme=config.scheme,
-        order=order,
-        beta=beta[order],
-        tested=len(tested),
+        order=tuple(order),
+        tested=k,
         sigma=float(np.sqrt(config.sigma2)),
-        critical=critical_value(len(tested), n - p - 1, config.alpha),
-        groups=(n,) if config.scheme == "normal" else (n // 2, n - n // 2),
+        beta=values.T[order, :, None],
+        groups=n[None] if config.scheme == "normal" else (n + [[[0]], [[1]]]) // 2,
+        tolerance=tolerance,
+        df=df,
+        threshold=threshold,
     )
 
 
 @lru_cache(maxsize=1024)
 def _bartlett(groups: tuple[int, ...], q: int) -> tuple[np.ndarray, ...]:
     """Layout of one replication's moment factors D = [[0, sqrt(m)], [A, u]],
-    one (q+1) x (q+1) matrix per group of m rows, flattened in group order.
+    one (q+1) x (q+1) matrix per group of m rows, flattened in group order;
+    group g's sqrt(m) sits at g * (q+1)**2 + q.
 
-    Returns D with only its sqrt(m) entries set, the flat positions of the
-    standard normals (per group: u, then A below its diagonal, row by row),
-    the flat positions of the chi-square roots (per group: A's diagonal), and
-    the chi-squares' degrees of freedom m-1, m-2, ...
+    Returns the flat positions of the standard normals (per group: u, then A
+    below its diagonal, row by row), the flat positions of the chi-square
+    roots (per group: A's diagonal), and the chi-squares' degrees of freedom
+    m-1, m-2, ...
     """
     size = (q + 1) ** 2
-    base = np.zeros(len(groups) * size)
     normals, roots, dfs = [], [], []
     for g, m in enumerate(groups):
         at = g * size + q + 1  # D[1, 0], where A starts
-        base[g * size + q] = np.sqrt(m)
         normals += [at + i * (q + 1) + q for i in range(q)]
         normals += [at + i * (q + 1) + j for i in range(q) for j in range(min(i, m - 1))]
         roots += [at + i * (q + 2) for i in range(min(q, m - 1))]
         dfs += [m - 1 - i for i in range(min(q, m - 1))]
-    layout = (base, np.array(normals), np.array(roots), np.array(dfs, dtype=float))
+    layout = (np.array(normals), np.array(roots), np.array(dfs, dtype=float))
     for array in layout:
         array.flags.writeable = False  # shared by every caller through the cache
     return layout
 
 
 def _streams(key: tuple[int, ...]) -> tuple[np.random.Generator, np.random.Generator]:
-    """The normal and the chi-square generator of a seed key."""
-    normal, chi = np.random.SeedSequence(key).spawn(2)
-    return np.random.default_rng(normal), np.random.default_rng(chi)
+    """The normal and the chi-square generator of a seed key: the children
+    SeedSequence(key).spawn(2) would give, built without the parent.
+
+    SeedSequence reads an int as its 32-bit words, so a key of ints in
+    [0, 2**32) is the uint32 array of its values, and is passed as one to
+    skip the per-int conversion; any other key is passed as it is.
+    """
+    entropy = np.array(key, dtype=np.uint32) if 0 <= min(key) and max(key) < 2**32 else key
+    return tuple(np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,))) for i in range(2))
 
 
-def _draw_moments(streams: tuple[np.random.Generator, ...], rows: int, point: _Point) -> np.ndarray:
-    """The next rows replications' moment matrices, (groups, q+1, q+1, rows)."""
-    base, normals, roots, dfs = _bartlett(point.groups, point.variables)
-    factor = np.empty((len(base), rows))
-    factor[:] = base[:, None]
-    factor[normals] = streams[0].standard_normal((rows, len(normals))).T
-    factor[roots] = np.sqrt(streams[1].chisquare(dfs, (rows, len(dfs)))).T
-    factor = factor.reshape(len(point.groups), point.variables + 1, -1, rows)
-    # D D^T one column of D at a time: elementwise products and sums, so that
-    # a replication's moments do not depend on how many share the block.
-    moments = factor[:, :, None, 0] * factor[:, None, :, 0]
-    for k in range(1, factor.shape[2]):
-        moments += factor[:, :, None, k] * factor[:, None, :, k]
+def _draw_moments(
+    streams: Sequence[tuple[np.random.Generator, ...]], rows: int, points: _Points
+) -> np.ndarray:
+    """The moment matrices of a block of replications, (groups, q+1, q+1,
+    points, rows): the next rows replications of each point's generators."""
+    q, size = points.variables, (points.variables + 1) ** 2
+    factor = np.zeros((len(points.groups) * size, len(streams), rows))
+    factor[q::size] = np.sqrt(points.groups)
+    for k, (normal, chi) in enumerate(streams):
+        normals, roots, dfs = _bartlett(tuple(points.groups[:, k, 0].tolist()), q)
+        factor[normals, k] = normal.standard_normal((rows, len(normals))).T
+        factor[roots, k] = np.sqrt(chi.chisquare(dfs, (rows, len(dfs)))).T
+    factor = factor.reshape(len(points.groups), q + 1, q + 1, len(streams), rows)
+    # D D^T as a sum of the outer products of D's columns, in column order,
+    # each elementwise per replication, so that a replication's moments do not
+    # depend on how many share the block. Column k < q is A's column k, zero
+    # above row k+1 (row 0 of D is (0, ..., 0, sqrt(m)) and A is lower
+    # triangular), so its product is added to the block below and right of
+    # (k+1, k+1) only: the terms left out are exact zeros.
+    moments = np.zeros((len(points.groups), q + 1, q + 1, len(streams), rows))
+    for k in range(q):
+        moments[:, k + 1 :, k + 1 :] += factor[:, k + 1 :, None, k] * factor[:, None, k + 1 :, k]
+    moments += factor[:, :, None, q] * factor[:, None, :, q]
     return moments
 
 
@@ -243,57 +310,96 @@ def _gram_index(scheme: str, order: tuple[int, ...]) -> np.ndarray:
     return index
 
 
-def _gram(moments: np.ndarray, point: _Point) -> np.ndarray:
+def _gram(moments: np.ndarray, points: _Points) -> np.ndarray:
     """Gram matrices of the designs [intercept, slopes in column order, e],
-    as a (p+2, p+2, rows) array.
+    as a (p+2, p+2, points, rows) array.
 
-    moments is (groups, q+1, q+1, rows): per replication, each row group's
-    [[m, z^T], [z, C]], its row count, the sums z of its variables and their
-    cross products C. The variables are (e, x1..xp) under the normal scheme
-    and (e, x2) under the experiment scheme, whose x1 = -1 half comes first.
-    Only entries on and above the diagonal are read.
+    moments is (groups, q+1, q+1, points, rows): per replication, each row
+    group's [[m, z^T], [z, C]], its row count, the sums z of its variables and
+    their cross products C. The variables are (e, x1..xp) under the normal
+    scheme and (e, x2) under the experiment scheme, whose x1 = -1 half comes
+    first. Only entries on and above the diagonal are read.
     """
-    if point.scheme == "experiment":
+    if points.scheme == "experiment":
         minus, plus = moments
         # Sums over all rows of the products of (1, e, x2) times x1**0, then
         # times x1.
         moments = np.empty_like(moments)
         np.add(plus, minus, out=moments[0])
         np.subtract(plus, minus, out=moments[1])
-    return moments.reshape(-1, moments.shape[-1])[_gram_index(point.scheme, tuple(point.order))]
+    return moments.reshape(-1, *moments.shape[-2:])[_gram_index(points.scheme, points.order)]
 
 
-def _rejections(gram: np.ndarray, point: _Point) -> tuple[np.ndarray, np.ndarray]:
-    """Rejection indicators for a (p+2, p+2, rows) block of Gram matrices,
-    and a mask of the rows whose fit is degenerate: a slope column within
-    _PIVOT_TOL of the span of the columns before it, or a zero SSE.
+def _rejections(gram: np.ndarray, points: _Points) -> tuple[np.ndarray, np.ndarray]:
+    """Rejection indicators for a (p+2, p+2, points, rows) block of Gram
+    matrices, and a mask of the replications whose fit is degenerate: a
+    slope column within _PIVOT_TOL of the span of the columns before it, or a
+    zero SSE.
 
     Factors the block in place, right-looking: step j leaves row j of the
     Cholesky factor R in gram[j, j:] and the Schur complement in
     gram[j+1:, j+1:].
     """
-    size, p = len(gram), len(point.beta)
-    limit = (_PIVOT_TOL + (point.n + size) * np.finfo(float).eps) * np.diagonal(gram)
-    degenerate = np.zeros(gram.shape[2], dtype=bool)
+    size, p = len(gram), len(points.beta)
+    limit = points.tolerance[..., None] * np.diagonal(gram)
+    degenerate = np.zeros(gram.shape[2:], dtype=bool)
     for j in range(size - 1):
-        bad = gram[j, j] <= limit[:, j]
+        bad = gram[j, j] <= limit[..., j]
         degenerate |= bad
         # A degenerate row is redrawn; any positive pivot keeps it finite.
         gram[j, j] = np.sqrt(np.where(bad, 1.0, gram[j, j]))
         gram[j, j + 1 :] /= gram[j, j]
         gram[j + 1 :, j + 1 :] -= gram[j, j + 1 :, None] * gram[j, None, j + 1 :]
     degenerate |= gram[-1, -1] <= 0.0
-    sse = point.sigma**2 * gram[-1, -1]
+    sse = points.sigma**2 * gram[-1, -1]
     # Tested rows of y's column of R: R[t, t:p+1] @ b[t:] + s R[t, e], with
-    # b = (0, slopes in column order).
-    b = np.concatenate(([0.0], point.beta))
-    rise = np.zeros(len(degenerate))
-    for t in range(p + 1 - point.tested, p + 1):
-        y = b[t:] @ gram[t, t : p + 1] + point.sigma * gram[t, -1]
+    # b = (0, slopes in column order), summed term by term in that order.
+    rise = np.zeros(degenerate.shape)
+    for t in range(p + 1 - points.tested, p + 1):
+        y = points.beta[t - 1] * gram[t, t]
+        for k in range(t + 1, p + 1):
+            y += points.beta[k - 1] * gram[t, k]
+        y += points.sigma * gram[t, -1]
         rise += y * y
     # F = (rise / tested) / (sse / df) > critical, kept free of division so
     # that a zero SSE needs no special case.
-    return rise * (point.n - p - 1) > point.critical * point.tested * sse, degenerate
+    return rise * points.df > points.threshold * sse, degenerate
+
+
+def estimate_many(
+    chromosomes: Sequence[Chromosome],
+    space: SearchSpace,
+    config: OracleConfig,
+    master_seed: int,
+) -> list[float]:
+    """estimate_power of each chromosome, in input order, in one pass.
+
+    The points go through the kernel together, as many whole points per
+    block as fit in _BLOCK_ROWS replications (at least one); a point with
+    more than _BLOCK_ROWS replications spans blocks of its own. Each point
+    draws from its own generators, and everything after the draws is
+    elementwise per replication, so no estimate depends on the other points
+    of the call or on where the blocks split.
+    """
+    if not chromosomes:
+        return []
+    points = _points(chromosomes, space, config)
+    nsim = config.nsim
+    per_block = max(1, _BLOCK_ROWS // nsim)
+    rejections = np.zeros(len(chromosomes), dtype=int)
+    for first in range(0, len(chromosomes), per_block):
+        last = min(first + per_block, len(chromosomes))
+        block = points[first:last]
+        streams = [_streams((master_seed, *c.genes)) for c in chromosomes[first:last]]
+        for start in range(0, nsim, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, nsim - start)
+            reject, degenerate = _rejections(_gram(_draw_moments(streams, rows, block), block), block)
+            for column in np.flatnonzero(degenerate).tolist():
+                k, row = divmod(column, rows)
+                key = (master_seed, *chromosomes[first + k].genes, start + row)
+                reject[k, row] = _redraw(points[first + k : first + k + 1], key)
+            rejections[first:last] += reject.sum(axis=1)
+    return (rejections / nsim).tolist()
 
 
 def estimate_power(
@@ -302,7 +408,8 @@ def estimate_power(
     config: OracleConfig,
     master_seed: int,
 ) -> float:
-    """Fraction of nsim replications in which the test rejects.
+    """Fraction of nsim replications in which the test rejects: the batch of
+    one of estimate_many.
 
     Deterministic in (chromosome, config, master_seed); always an exact
     multiple of 1 / nsim.
@@ -316,35 +423,26 @@ def estimate_power(
     retry can bias the estimate by at most their probability, ~1e-10 per
     replication (see the comment on _PIVOT_TOL).
     """
-    point = _point(chromosome, space, config)
-    key = (master_seed, *chromosome.genes)
-    streams = _streams(key)
-    rejections = 0
-    for start in range(0, config.nsim, _BLOCK_ROWS):
-        rows = min(_BLOCK_ROWS, config.nsim - start)
-        reject, degenerate = _rejections(_gram(_draw_moments(streams, rows, point), point), point)
-        for row in np.flatnonzero(degenerate):
-            reject[row] = _redraw(point, (*key, start + int(row)))
-        rejections += int(np.count_nonzero(reject))
-    return rejections / config.nsim
+    return estimate_many([chromosome], space, config, master_seed)[0]
 
 
-def _redraw(point: _Point, key: tuple[int, ...]) -> bool:
-    """Rejection indicator of a degenerate replication's replacement."""
+def _redraw(point: _Points, key: tuple[int, ...]) -> bool:
+    """Rejection indicator of a degenerate replication's replacement; point
+    holds the one point it belongs to."""
     for attempt in range(1, _MAX_REDRAWS + 1):
-        moments = _draw_moments(_streams((*key, attempt)), 1, point)
+        moments = _draw_moments([_streams((*key, attempt))], 1, point)
         reject, degenerate = _rejections(_gram(moments, point), point)
-        if not degenerate[0]:
-            return bool(reject[0])
+        if not degenerate[0, 0]:
+            return bool(reject[0, 0])
     raise OracleError(
         f"replication still degenerate after {_MAX_REDRAWS} re-draws "
-        f"(genes and row {key[1:]}, n={point.n})"
+        f"(genes and row {key[1:]}, n={int(point.groups.sum())})"
     )
 
 
 class PowerOracle:
-    """Counting front-end over estimate_power, optionally fanned out to
-    worker processes.
+    """Counting front-end over estimate_many, optionally fanned out to
+    worker processes in chunks of chromosomes.
 
     Because each estimate depends only on (master_seed, chromosome), results
     are identical for any worker count; total_queries is incremented at the
@@ -376,18 +474,19 @@ class PowerOracle:
     def evaluate_many(self, chromosomes: Sequence[Chromosome]) -> list[float]:
         """Estimates in input order; one query counted per chromosome."""
         self.total_queries += len(chromosomes)
-        func = partial(
-            estimate_power,
+        batch = partial(
+            estimate_many,
             space=self.space,
             config=self.config,
             master_seed=self.master_seed,
         )
         if self.worker_count == 1 or len(chromosomes) < 2:
-            return [func(c) for c in chromosomes]
+            return batch(chromosomes)
         if self._executor is None:
             self._executor = ProcessPoolExecutor(max_workers=self.worker_count)
-        chunk = max(1, len(chromosomes) // (4 * self.worker_count))
-        return list(self._executor.map(func, chromosomes, chunksize=chunk))
+        size = max(1, len(chromosomes) // (4 * self.worker_count))
+        chunks = [chromosomes[i : i + size] for i in range(0, len(chromosomes), size)]
+        return [value for values in self._executor.map(batch, chunks) for value in values]
 
     def close(self) -> None:
         if self._executor is not None:

@@ -384,6 +384,19 @@ class TestEvaluate:
         assert main(["evaluate", "--ga", str(learned), "--brute", str(brute)]) == 2
         assert named in capsys.readouterr().err
 
+    def test_config_metric_other_than_normalized_exits_2(self, tmp_path, capsys):
+        """evaluate scores under the normalized metric alone; a -c config
+        that asks for another is refused, not silently ignored."""
+        config = write_config(tmp_path, predictor={"k": 3, "metric": "raw_euclidean"})
+        main(["brute-force", "-c", str(config), "--prefix", "brute"])
+        brute = tmp_path / "out" / "brute_dictionary.json"
+        capsys.readouterr()
+        assert main(["evaluate", "-c", str(config), "--ga", str(brute), "--brute", str(brute)]) == 2
+        captured = capsys.readouterr()
+        assert "predictor.metric" in captured.err and captured.out == ""
+        write_config(tmp_path, predictor={"k": 3, "metric": "normalized_euclidean"})
+        assert main(["evaluate", "-c", str(config), "--ga", str(brute), "--brute", str(brute)]) == 0
+
     def test_mismatched_spaces_exit_2(self, tmp_path, capsys):
         config_a = write_config(tmp_path)
         main(["brute-force", "-c", str(config_a), "--prefix", "a"])

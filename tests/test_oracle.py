@@ -8,6 +8,7 @@ from scipy.special import roots_legendre
 import powermap.oracle as oracle_mod
 from powermap import (
     Chromosome,
+    GridError,
     OracleConfig,
     OracleError,
     ParameterRange,
@@ -154,9 +155,10 @@ class TestPowerOracle:
             assert oracle.total_queries == 3
 
     def test_worker_count_does_not_change_values(self):
+        """24 points over 2 workers: chunks of 3 points per worker task."""
         space = SearchSpace(
             coefficient_ranges=(ParameterRange(0.1, 0.3, 0.1),),
-            sample_size_range=ParameterRange(30, 60, 10),
+            sample_size_range=ParameterRange(30, 100, 10),
         )
         chroms = list(space.enumerate_grid())
         config = t_config(100)
@@ -284,17 +286,17 @@ KERNEL_CASES = [
 EXPERIMENT_CASES = [case for case in KERNEL_CASES if case[1].scheme == "experiment"]
 
 
-def row_moments(X, noise, point):
+def row_moments(X, noise, scheme, groups):
     """Each row group's moment matrix from one sample's rows, as
     (groups, q+1, q+1): the cross products of (1, e, drawn regressors), so
     the group's row count m, the sums z of e and the regressors, and their
     cross products C. The experiment scheme draws only the measure x2, and
     its x1 = -1 half comes first."""
-    if point.scheme == "experiment":
-        assert (X[:, 1] == np.repeat([-1.0, 1.0], point.groups)).all()
-    drawn = X[:, 1:] if point.scheme == "normal" else X[:, 2:3]
-    columns = np.column_stack([np.ones(point.n), noise, drawn])
-    ends = np.cumsum(point.groups)
+    if scheme == "experiment":
+        assert (X[:, 1] == np.repeat([-1.0, 1.0], groups)).all()
+    drawn = X[:, 1:] if scheme == "normal" else X[:, 2:3]
+    columns = np.column_stack([np.ones(len(X)), noise, drawn])
+    ends = np.cumsum(groups)
     return np.stack([part.T @ part for part in np.split(columns, ends[:-1])])
 
 
@@ -304,7 +306,7 @@ class TestBatchedKernel:
         """Each replication's decision from its rows' moments, through the
         kernel, is ols_fit + run_test's on the same rows."""
         c = Chromosome(genes)
-        point = oracle_mod._point(c, space, config)
+        point = oracle_mod._points([c], space, config)
         beta, n = space.decode_params(c)
         rng = np.random.default_rng(np.random.SeedSequence((7, *genes)))
         moments, expected = [], []
@@ -313,12 +315,12 @@ class TestBatchedKernel:
             # stream gives the sample's e without rounding.
             noise = copy.deepcopy(rng).standard_normal(n)
             X, y = generate_mlr_sample(beta, n, config.sigma2, config.scheme, rng)
-            moments.append(row_moments(X, noise, point))
+            moments.append(row_moments(X, noise, config.scheme, point.groups[:, 0, 0]))
             expected.append(scalar_reject(X, y, config))
-        gram = oracle_mod._gram(np.stack(moments, axis=-1), point)
+        gram = oracle_mod._gram(np.stack(moments, axis=-1)[..., None, :], point)
         reject, degenerate = oracle_mod._rejections(gram, point)
         assert not degenerate.any()
-        assert reject.tolist() == expected
+        assert reject[0].tolist() == expected
 
     @pytest.mark.parametrize("space, config, genes", KERNEL_CASES)
     def test_chunking_does_not_change_values(self, space, config, genes, monkeypatch):
@@ -333,6 +335,88 @@ class TestBatchedKernel:
         for k, df in ((1, 98), (3, 46), (2, 1)):
             crit = oracle_mod.critical_value(k, df, 0.05)
             assert f_cdf(crit, k, df) == pytest.approx(0.95, abs=1e-12)
+
+
+class TestStreams:
+    @pytest.mark.parametrize(
+        "key",
+        [(0,), (2022, 2, 6, 0), (10_001, 0, 0, 5, 1, 17, 3), (2**32 - 1, 0), (2**32, 7), (3**50, 0, 1)],
+    )
+    def test_equal_the_spawned_children(self, key):
+        """_streams builds SeedSequence(key).spawn(2)'s children directly."""
+        for built, spawned in zip(oracle_mod._streams(key), streams(key)):
+            assert built.standard_normal(64).tolist() == spawned.standard_normal(64).tolist()
+            dfs = [1.0, 7.0, 99.0]
+            assert built.chisquare(dfs, (8, 3)).tolist() == spawned.chisquare(dfs, (8, 3)).tolist()
+
+
+def small_n_space():
+    """The interaction grid at n = 5, where the x1 = -1 half has two rows
+    and a singular Wishart, and at n = 50."""
+    return SearchSpace(
+        coefficient_ranges=(
+            ParameterRange(0.2, 0.2, 0.05),
+            ParameterRange(0.6, 0.6, 0.05),
+            ParameterRange(0.1, 0.5, 0.2),
+        ),
+        sample_size_range=ParameterRange(5, 50, 45),
+    )
+
+
+# Mixed batches, each value the one estimate_power gave for its point alone
+# before evaluate_many batched its points (master seed 9).
+BATCHES = [
+    pytest.param(
+        desk_space(), t_config(200),
+        {(0, 3, 20): 0.225, (2, 5, 10): 0.48, (4, 12, 30): 0.985, (1, 0, 0): 0.18, (4, 12, 0): 0.54},
+        id="desk",
+    ),
+    pytest.param(
+        desk_space(), OracleConfig(200, 0.05, 2.5, TestSpec((1, 2), "f_joint"), "normal"),
+        {(3, 7, 12): 0.98, (0, 0, 0): 0.21, (4, 12, 30): 1.0},
+        id="two-slope-f",
+    ),
+    pytest.param(
+        small_n_space(), OracleConfig(200, 0.05, 1.0, TestSpec((3,), "f_joint"), "experiment"),
+        {(0, 0, 0, 0): 0.03, (0, 0, 2, 0): 0.065, (0, 0, 1, 1): 0.48, (0, 0, 2, 1): 0.91},
+        id="experiment-n5-n50",
+    ),
+]
+
+
+class TestBatchIndependence:
+    @pytest.mark.parametrize("space, config, values", BATCHES)
+    @pytest.mark.parametrize("block_rows", [1, 7, oracle_mod._BLOCK_ROWS, 1 << 40])
+    def test_batch_equals_each_point_alone(self, space, config, values, block_rows, monkeypatch):
+        """Blocks of 1 and 7 replications split points; the default holds
+        five whole desk points; 1 << 40 holds the batch."""
+        batch = [Chromosome(genes) for genes in values]
+        expected = list(values.values())
+        monkeypatch.setattr(oracle_mod, "_BLOCK_ROWS", block_rows)
+        assert [estimate_power(c, space, config, 9) for c in batch] == expected
+        with PowerOracle(space, config, 9) as oracle:
+            assert oracle.evaluate_many(batch) == expected
+            assert oracle.evaluate_many(batch[::-1] + batch[:1]) == expected[::-1] + expected[:1]
+
+    def test_bad_point_inside_a_batch_raises(self):
+        """The first bad point of a batch raises what it raises alone."""
+        space = SearchSpace(
+            coefficient_ranges=(ParameterRange(0.1, 0.3, 0.1), ParameterRange(0.3, 0.5, 0.1)),
+            sample_size_range=ParameterRange(3, 53, 25),
+        )
+        good, small, off_grid = Chromosome((0, 0, 1)), Chromosome((1, 2, 0)), Chromosome((0, 3, 1))
+        with PowerOracle(space, t_config(20), 1) as oracle:
+            with pytest.raises(GridError, match="gene 3 out of range for theta_2"):
+                oracle.evaluate_many([good, off_grid, small])
+            with pytest.raises(GridError, match="chromosome has 2 genes"):
+                oracle.evaluate_many([good, Chromosome((0, 0)), good])
+            with pytest.raises(OracleError, match="sample size 3 cannot fit 2 slopes"):
+                oracle.evaluate_many([good, good, small, off_grid])
+            alone = estimate_power(good, space, t_config(20), 1)
+            assert oracle.evaluate_many([good, good]) == [alone, alone]
+        with PowerOracle(space, t_config(20, tested=3), 1) as oracle:
+            with pytest.raises(ValueError, match="exceed"):
+                oracle.evaluate_many([good, good])
 
 
 def chi2_rule(df, nodes):
@@ -467,6 +551,24 @@ def experiment_case(nsim):
     return point_space([0.3, 0.6, 0.3], 55), config, (0, 0, 0, 0)
 
 
+def redrawn_case(breaker, space, config, genes, seed, rows=(3, 17, 40)):
+    """The Gram kernel broken at the given replications of one point, and
+    that point's estimate when each of them is replaced by attempt 1 on its
+    own streams."""
+    c = Chromosome(genes)
+    point = oracle_mod._points([c], space, config)
+    moments = oracle_mod._draw_moments([streams((seed, *genes))], config.nsim, point)
+    reject, degenerate = oracle_mod._rejections(oracle_mod._gram(moments, point), point)
+    assert not degenerate.any()
+    broken = breaker(moments[0, 0, 1, 0, list(rows)])
+    _, flagged = oracle_mod._rejections(broken(moments, point), point)
+    assert np.flatnonzero(flagged).tolist() == list(rows)
+    for row in rows:
+        redrawn = oracle_mod._draw_moments([streams((seed, *genes, row, 1))], 1, point)
+        reject[0, row] = oracle_mod._rejections(oracle_mod._gram(redrawn, point), point)[0][0, 0]
+    return broken, np.count_nonzero(reject) / config.nsim
+
+
 class TestDegenerateDraws:
     def test_degenerate_row_is_redrawn_from_its_own_stream(self, monkeypatch):
         self._check_redrawn(_zero_regressors, desk_space(), t_config(50), (2, 5, 10), monkeypatch)
@@ -479,23 +581,25 @@ class TestDegenerateDraws:
 
     @staticmethod
     def _check_redrawn(breaker, space, config, genes, monkeypatch):
-        seed, c, rows = 4, Chromosome(genes), [3, 17, 40]
-        point = oracle_mod._point(c, space, config)
-        moments = oracle_mod._draw_moments(streams((seed, *genes)), config.nsim, point)
-        reject, degenerate = oracle_mod._rejections(oracle_mod._gram(moments, point), point)
-        assert not degenerate.any()
-        broken = breaker(moments[0, 0, 1, rows])
-        _, flagged = oracle_mod._rejections(broken(moments, point), point)
-        assert np.flatnonzero(flagged).tolist() == rows
-        # Each forced row is replaced by attempt 1 on its own streams.
-        for row in rows:
-            redrawn = oracle_mod._draw_moments(streams((seed, *genes, row, 1)), 1, point)
-            reject[row] = oracle_mod._rejections(oracle_mod._gram(redrawn, point), point)[0][0]
+        seed, c = 4, Chromosome(genes)
+        broken, expected = redrawn_case(breaker, space, config, genes, seed)
         monkeypatch.setattr(oracle_mod, "_gram", broken)
-        got = estimate_power(c, space, config, seed)
-        assert got == np.count_nonzero(reject) / config.nsim
+        assert estimate_power(c, space, config, seed) == expected
         monkeypatch.setattr(oracle_mod, "_BLOCK_ROWS", 1)
-        assert estimate_power(c, space, config, seed) == got
+        assert estimate_power(c, space, config, seed) == expected
+
+    @pytest.mark.parametrize("block_rows", [7, oracle_mod._BLOCK_ROWS])
+    def test_degenerate_row_of_a_later_point_is_redrawn_from_its_stream(self, block_rows, monkeypatch):
+        """The second point of a batch: its forced rows are redrawn from its
+        own keys, and the points around it keep their values."""
+        space, config, seed = desk_space(), t_config(50), 4
+        batch = [Chromosome(g) for g in ((0, 3, 20), (2, 5, 10), (4, 12, 30))]
+        alone = [estimate_power(c, space, config, seed) for c in batch]
+        broken, expected = redrawn_case(_zero_regressors, space, config, batch[1].genes, seed)
+        monkeypatch.setattr(oracle_mod, "_gram", broken)
+        monkeypatch.setattr(oracle_mod, "_BLOCK_ROWS", block_rows)
+        with PowerOracle(space, config, seed) as oracle:
+            assert oracle.evaluate_many(batch) == [alone[0], expected, alone[2]]
 
     def test_always_degenerate_raises(self, monkeypatch):
         monkeypatch.setattr(oracle_mod, "_gram", _zero_regressors(None))
