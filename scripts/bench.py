@@ -29,8 +29,12 @@ Layers:
   knn.interaction_predict_ms      one predict of 1,000 off-grid points over
                                   6,000 entries of the 59,150-point
                                   interaction grid
-  io.export_ms, io.load_ms        JSON + CSV export, then JSON load, of a
-                                  2,015-entry desk dictionary
+  io.export_ms, io.load_ms        JSON + CSV export, then JSON load (the
+                                  loader the CLI calls), of a 2,015-entry
+                                  desk dictionary
+  e2e.predict_ms                  `powermap predict`, in-process, of those
+                                  1,000 points from those 6,000 entries
+                                  exported as JSON
   e2e.learn_s, e2e.brute_force_s  `powermap learn` / `brute-force` on
                                   configs/desk.json, in-process
 
@@ -44,6 +48,7 @@ Run from a checkout (it imports that checkout's src/):
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -180,10 +185,11 @@ def knn_and_io_layers(repeats: int, scratch: Path) -> dict:
     space = load_run_config(DESK).space
     learned = synthetic_dictionary(space, 325)
     points = [space.decode(c) for c in space.enumerate_grid() if c not in learned]
-    index = DictionaryIndex(learned, space)
+    index = DictionaryIndex(space, *learned.arrays())
     predict_s = median_time(lambda: index.predict(points, 5, "normalized_euclidean"), repeats)
     wide = load_run_config(INTERACTION).space
-    wide_index = DictionaryIndex(synthetic_dictionary(wide, 6000), wide)
+    wide_dictionary = synthetic_dictionary(wide, 6000)
+    wide_index = DictionaryIndex(wide, *wide_dictionary.arrays())
     lower, upper = (np.array([getattr(r, end) for r in wide.ranges]) for end in ("lower", "upper"))
     queries = lower + np.random.default_rng(1).random((1000, wide.dimension)) * (upper - lower)
     wide_s = median_time(lambda: wide_index.predict(queries, 5, "normalized_euclidean"), repeats)
@@ -194,13 +200,26 @@ def knn_and_io_layers(repeats: int, scratch: Path) -> dict:
         io_mod.export_dictionary_json(json_path, full, space, {"command": "bench"})
         io_mod.export_dictionary_csv(csv_path, full, space)
 
+    wide_path, queries_path = scratch / "bench_interaction.json", scratch / "bench_queries.csv"
+    io_mod.export_dictionary_json(wide_path, wide_dictionary, wide, {"command": "bench"})
+    with open(queries_path, "w", newline="") as fh:
+        csv.writer(fh).writerows([io_mod.dictionary_csv_header(wide)[:-1], *queries.tolist()])
+    argv = ["predict", "--dictionary", str(wide_path), "--queries", str(queries_path),
+            "--out", str(scratch / "bench_predictions.csv"), "--k", "5"]
+
+    def predict_command():
+        with contextlib.redirect_stderr(io.StringIO()):
+            if cli_main(argv) != 0:
+                raise SystemExit("powermap predict failed")
+
     return {
-        "knn.index_build_ms": 1e3 * median_time(lambda: DictionaryIndex(learned, space), repeats),
+        "knn.index_build_ms": 1e3 * median_time(lambda: DictionaryIndex(space, *learned.arrays()), repeats),
         "knn.predict_ms": 1e3 * predict_s,
         "knn.per_query_us": 1e6 * predict_s / len(points),
         "knn.interaction_predict_ms": 1e3 * wide_s,
         "io.export_ms": 1e3 * median_time(export, repeats),
-        "io.load_ms": 1e3 * median_time(lambda: io_mod.load_dictionary_json(json_path), repeats),
+        "io.load_ms": 1e3 * median_time(lambda: io_mod.load_dictionary_arrays(json_path), repeats),
+        "e2e.predict_ms": 1e3 * median_time(predict_command, repeats),
     }
 
 

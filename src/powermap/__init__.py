@@ -7,6 +7,7 @@ from .evaluate import (
     brute_force_manifold,
     evaluate,
     rmse,
+    score,
     write_sweep_csv,
 )
 from .ga import (
@@ -79,6 +80,7 @@ __all__ = [
     "rmse",
     "run",
     "run_test",
+    "score",
     "selection_probabilities",
     "student_t_cdf",
     "write_sweep_csv",

@@ -20,7 +20,7 @@ from .evaluate import (
     DEFAULT_GRID_BUDGET,
     GridBudgetError,
     brute_force_manifold,
-    evaluate as evaluate_dictionaries,
+    score,
 )
 from .config import RunConfig, load_run_config, resolved_config_dict
 from .grid import GridError
@@ -158,9 +158,9 @@ def cmd_brute_force(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     k, metric = dataclasses.astuple(_predictor(args))
-    dictionary, space, _ = io_mod.load_dictionary_json(args.dictionary)
+    space, genes, powers, _ = io_mod.load_dictionary_arrays(args.dictionary)
     _, points = io_mod.load_queries_csv(args.queries, space)
-    predictions = DictionaryIndex(dictionary, space).predict(points, k, metric)
+    predictions = DictionaryIndex(space, genes, powers).predict(points, k, metric)
     io_mod.write_predictions_csv(args.out, space, points, predictions)
     _note(f"wrote {args.out} ({len(points)} predictions, k={k}, metric={metric})")
     return EXIT_OK
@@ -173,17 +173,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"predictor.metric: evaluate scores with {PredictorConfig.metric} only, "
             f"got {predictor.metric!r}"
         )
-    k = predictor.k
-    ga_dict, ga_space, ga_meta = io_mod.load_dictionary_json(args.ga)
-    brute_dict, brute_space, _ = io_mod.load_dictionary_json(args.brute)
-    if ga_space != brute_space:
+    space, genes, powers, metadata = io_mod.load_dictionary_arrays(args.ga)
+    brute_space, brute_genes, brute_powers, _ = io_mod.load_dictionary_arrays(args.brute)
+    if space != brute_space:
         raise io_mod.FormatError(
             "search spaces of the two exports differ; "
             "the comparison requires a shared grid"
         )
-    queries = io_mod.field(ga_meta, f"{args.ga}: metadata", "oracle_queries", int, len(ga_dict))
-    report = ga_mod.GaReport(ga_dict, queries, per_iteration=[], elapsed_seconds=0.0)
-    result = evaluate_dictionaries(report, brute_dict, ga_space, k)
+    queries = io_mod.field(metadata, f"{args.ga}: metadata", "oracle_queries", int, len(powers))
+    result = score((genes, powers), (brute_genes, brute_powers), space, predictor, queries)
     payload = dataclasses.asdict(result)
     text = json.dumps(payload, indent=1)
     print(text)

@@ -96,43 +96,69 @@ def rmse(reference, candidate) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
+def score(
+    learned: tuple[np.ndarray, np.ndarray],
+    reference: tuple[np.ndarray, np.ndarray],
+    space: SearchSpace,
+    predictor: PredictorConfig,
+    oracle_queries: int,
+) -> EvaluationReport:
+    """Compare a learned dictionary against a reference that holds every
+    grid point once, each given as (genes, powers): genes an (m, d) array of
+    grid indices.
+
+    The learned genes must be distinct grid points in gene order, as
+    io.load_dictionary_arrays and PowerDictionary.arrays give them.
+    rmse_seen_only covers the learned points; rmse_full_grid covers every
+    grid point, filling the others with the predictor's k-NN prediction.
+    Both are taken over vectors in grid order.
+    """
+    size, counts = space.grid_size, space.grid_counts
+    genes, powers = reference
+    genes = np.asarray(genes).reshape(-1, space.dimension)
+    on_grid = np.all((genes >= 0) & (genes < counts), axis=1)
+    position = np.ravel_multi_index(genes[on_grid].T, counts)
+    covered = np.zeros(size, dtype=bool)
+    covered[position] = True
+    if len(genes) != size or not covered.all():
+        raise ValueError(
+            f"brute-force dictionary has {len(genes)} entries; "
+            f"expected full coverage of the {size}-point grid"
+        )
+    truth = np.empty(size)
+    truth[position] = powers
+    genes, powers = learned
+    if len(powers) == 0:
+        raise ValueError("learned dictionary is empty")
+    position = np.ravel_multi_index(np.asarray(genes).T, counts)
+    seen = np.zeros(size, dtype=bool)
+    seen[position] = True
+    candidate = np.empty(size)
+    candidate[position] = powers
+    unseen = np.flatnonzero(~seen)
+    candidate[unseen] = DictionaryIndex(space, genes, powers).predict(
+        space.decode_many(np.column_stack(np.unravel_index(unseen, counts))),
+        predictor.k,
+        predictor.metric,
+    )
+    return EvaluationReport(
+        rmse_seen_only=rmse(truth[seen], candidate[seen]),
+        rmse_full_grid=rmse(truth, candidate),
+        grid_size=size,
+        ga_queries=oracle_queries,
+        query_ratio=oracle_queries / size,
+    )
+
+
 def evaluate(
     ga: GaReport,
     brute: PowerDictionary,
     space: SearchSpace,
     k: int,
 ) -> EvaluationReport:
-    """Compare a learned dictionary against the brute-force grid.
-
-    rmse_seen_only covers the keys the search actually visited;
-    rmse_full_grid covers every grid point, filling unvisited ones with the
-    k-NN prediction under the normalized metric.
-    """
-    grid = list(space.enumerate_grid())
-    size = space.grid_size
-    if len(brute) != size or any(c not in brute for c in grid):
-        raise ValueError(
-            f"brute-force dictionary has {len(brute)} entries; "
-            f"expected full coverage of the {size}-point grid"
-        )
-    learned = ga.dictionary
-    if len(learned) == 0:
-        raise ValueError("learned dictionary is empty")
-
-    seen = [c for c in grid if c in learned]
-    rmse_seen = rmse([brute[c] for c in seen], [learned[c] for c in seen])
-
-    predicted = iter(DictionaryIndex(learned, space).predict(
-        space.decode_many([c.genes for c in grid if c not in learned]), k, PredictorConfig.metric
-    ))
-    candidate = [learned[c] if c in learned else next(predicted) for c in grid]
-    return EvaluationReport(
-        rmse_seen_only=rmse_seen,
-        rmse_full_grid=rmse([brute[c] for c in grid], candidate),
-        grid_size=size,
-        ga_queries=ga.oracle_queries,
-        query_ratio=ga.oracle_queries / size,
-    )
+    """score of a GA run's dictionary against the brute-force grid, under
+    the normalized metric."""
+    return score(ga.dictionary.arrays(), brute.arrays(), space, PredictorConfig(k), ga.oracle_queries)
 
 
 def write_sweep_csv(path, rows: Iterable[SweepRow]) -> None:

@@ -84,6 +84,15 @@ class PowerDictionary:
         """Entries in lexicographic gene order (a canonical export order)."""
         return sorted(self._entries.items(), key=lambda kv: kv[0].genes)
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Genes, an (m, d) integer array, and powers, an (m,) array, in
+        lexicographic gene order."""
+        items = self.sorted_items()
+        return (
+            np.array([c.genes for c, _ in items], dtype=np.intp),
+            np.array([power for _, power in items], dtype=float),
+        )
+
 
 @dataclass(frozen=True)
 class IterationStats:

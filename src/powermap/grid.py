@@ -166,11 +166,6 @@ class SearchSpace:
         np.rint(values[:, -1], out=values[:, -1])
         return values
 
-    def decode_params(self, chromosome: Chromosome) -> tuple[np.ndarray, int]:
-        """Decoded coefficient vector and integer sample size."""
-        values = self.decode(chromosome)
-        return values[:-1], int(values[-1])
-
     def snap(self, values) -> Chromosome:
         """Chromosome at the nearest grid point to the given real vector."""
         values = np.asarray(values, dtype=float)

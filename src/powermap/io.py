@@ -12,9 +12,11 @@ are byte-identical.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import MISSING, fields
+from operator import itemgetter
 from types import GenericAlias
 from typing import Any, get_type_hints
 
@@ -36,17 +38,24 @@ class FormatError(ValueError):
     not match its schema; the message names the field path or line."""
 
 
+def _accepted(values: list, kind) -> bool:
+    """Whether every value is of kind: one pass over the set of their types
+    (and of their items' types, for tuple[X, ...]: JSON lists of X)."""
+    if type(kind) is GenericAlias:
+        return set(map(type, values)) <= {list} and set(
+            map(type, itertools.chain.from_iterable(values))
+        ) <= _ACCEPTS[kind.__args__[0]]
+    return set(map(type, values)) <= _ACCEPTS[kind]
+
+
 def _conform(values: list, kind) -> list | None:
     """values as kind, integers made floats where kind is float; None when
-    one of them is not of kind. One pass over the set of their types."""
-    if type(kind) is GenericAlias:  # tuple[X, ...]: JSON lists of X
-        item = kind.__args__[0]
-        if {type(v) for v in values} <= {list} and {type(x) for v in values for x in v} <= _ACCEPTS[item]:
-            return [tuple(map(item, v)) for v in values]
+    one of them is not of kind."""
+    if not _accepted(values, kind):
         return None
-    if {type(v) for v in values} <= _ACCEPTS[kind]:
-        return list(map(float, values)) if kind is float else values
-    return None
+    if type(kind) is GenericAlias:
+        return [tuple(map(kind.__args__[0], v)) for v in values]
+    return list(map(float, values)) if kind is float else values
 
 
 def _object(data: Any, path: str) -> dict:
@@ -78,16 +87,18 @@ def field(data: dict, path: str, key: str, kind, default: Any = MISSING) -> Any:
 
 
 def column(rows: list, path: str, key: str, kind) -> list:
-    """field(rows[i], f"{path}[{i}]", key, kind) for every row, type-checked
-    in one pass rather than a call per row."""
-    values = [row.get(key, MISSING) if type(row) is dict else MISSING for row in rows]
-    converted = _conform(values, kind)
-    if converted is None:  # row by row, so that the first bad row names itself
-        converted = [
+    """rows[i][key] for every row, as JSON gave it (an integer stays one
+    where kind is float), after the checks of field(rows[i], f"{path}[{i}]",
+    key, kind): type-checked in one pass rather than a call per row."""
+    try:
+        values = list(map(itemgetter(key), rows))
+    except (KeyError, TypeError):  # a row without key, or not an object
+        values = None
+    if values is None or not _accepted(values, kind):
+        # Row by row, so that the first bad row names itself.
+        for i, row in enumerate(rows):
             field(_object(row, f"{path}[{i}]"), f"{path}[{i}]", key, kind)
-            for i, row in enumerate(rows)
-        ]
-    return converted
+    return values
 
 
 def section(data: dict, path: str, key: str, kind=dict, required: bool = True):
@@ -206,20 +217,34 @@ def export_dictionary_json(
         fh.write("\n ]\n}\n")
 
 
-def load_dictionary_json(path) -> tuple[PowerDictionary, SearchSpace, dict[str, Any]]:
-    """Dictionary, search space and metadata from a JSON export.
+def load_dictionary_arrays(path) -> tuple[SearchSpace, np.ndarray, np.ndarray, dict[str, Any]]:
+    """Search space, genes, powers and metadata from a JSON export: genes an
+    (m, d) integer array and powers an (m,) array, their rows in gene order
+    whatever the order of the entries.
 
-    Every entry must name a grid point of the export's own search space, and
-    its values must be that point's decoded coordinates.
+    Every entry must name a grid point of the export's own search space,
+    its values must be that point's decoded coordinates, its power must lie
+    in [0, 1], and no two entries may name the same point. The error names
+    the first entry that breaks a rule, in that order of rules.
     """
     with open(path) as fh:
         try:
-            return _dictionary_from_dict(json.load(fh))
+            return _arrays_from_dict(json.load(fh))
         except ValueError as exc:  # a FormatError, or not JSON at all
             raise FormatError(f"{path}: {exc}") from None
 
 
-def _dictionary_from_dict(payload: Any) -> tuple[PowerDictionary, SearchSpace, dict[str, Any]]:
+def load_dictionary_json(path) -> tuple[PowerDictionary, SearchSpace, dict[str, Any]]:
+    """load_dictionary_arrays's entries as a PowerDictionary, with the search
+    space and metadata."""
+    space, genes, powers, metadata = load_dictionary_arrays(path)
+    dictionary = PowerDictionary()
+    for chromosome_genes, power in zip(genes.tolist(), powers.tolist()):
+        dictionary.insert(Chromosome(tuple(chromosome_genes)), power)
+    return dictionary, space, metadata
+
+
+def _arrays_from_dict(payload: Any) -> tuple[SearchSpace, np.ndarray, np.ndarray, dict[str, Any]]:
     _object(payload, "top level")
     version = field(payload, "", "schema_version", int)
     if version != SCHEMA_VERSION:
@@ -227,50 +252,59 @@ def _dictionary_from_dict(payload: Any) -> tuple[PowerDictionary, SearchSpace, d
     space = space_from_dict(section(payload, "", "search_space"))
     entries = section(payload, "", "entries", list)
     genes = column(entries, "entries", "genes", tuple[int, ...])
-    powers = column(entries, "entries", "power", float)
-    _check_decoded(space, genes, column(entries, "entries", "values", tuple[float, ...]))
-    dictionary = PowerDictionary()
-    for number, (chromosome_genes, power) in enumerate(zip(genes, powers)):
-        try:
-            dictionary.insert(Chromosome(chromosome_genes), power)
-        except ValueError as exc:
-            raise FormatError(f"entries[{number}]: {exc}") from None
-    return dictionary, space, section(payload, "", "metadata", required=False) or {}
-
-
-def _check_decoded(space: SearchSpace, genes: list, values: list) -> None:
-    """Name the first entry whose genes are off the grid or whose values are
-    not its genes decoded, within 1e-9 of a step.
-
-    Checked as arrays, and in a call of its own so that they are gone before
-    the dictionary is built: decoding entry by entry would cost as much time
-    as the load, and keeping the arrays would raise its peak.
-    """
+    powers = np.array(column(entries, "entries", "power", float), dtype=float)
+    values = column(entries, "entries", "values", tuple[float, ...])
     dimension = space.dimension
-    for number, (chromosome_genes, coordinates) in enumerate(zip(genes, values)):
-        if not len(chromosome_genes) == len(coordinates) == dimension:
-            raise FormatError(f"entries[{number}]: expected {dimension} genes and values")
-    grid = np.array(genes, dtype=float).reshape(-1, dimension)
+    if not set(map(len, genes)) | set(map(len, values)) <= {dimension}:
+        for number, (chromosome_genes, coordinates) in enumerate(zip(genes, values)):
+            if not len(chromosome_genes) == len(coordinates) == dimension:
+                raise FormatError(f"entries[{number}]: expected {dimension} genes and values")
+    # As floats first, so that a gene too large for an integer array is
+    # reported as off the grid.
+    grid = _matrix(genes, dimension)
     counts = space.grid_counts
     off_grid = np.any((grid < 0) | (grid >= counts), axis=1)
     if off_grid.any():
         first = int(np.argmax(off_grid))
         raise FormatError(
-            f"entries[{first}]: genes {list(genes[first])} are off the "
+            f"entries[{first}]: genes {genes[first]} are off the "
             f"{' x '.join(map(str, counts))} grid"
         )
     decoded = space.decode_many(grid)
-    deviation = np.array(values).reshape(decoded.shape)
-    deviation -= decoded
+    coordinates = _matrix(values, dimension)
     # Not-within rather than beyond, so that a NaN value fails too.
     steps = np.array([r.step for r in space.ranges])
-    misplaced = ~np.all(np.abs(deviation, out=deviation) <= 1e-9 * steps, axis=1)
+    misplaced = ~np.all(np.abs(coordinates - decoded) <= 1e-9 * steps, axis=1)
     if misplaced.any():
         first = int(np.argmax(misplaced))
         raise FormatError(
-            f"entries[{first}]: values {list(values[first])} are not "
+            f"entries[{first}]: values {coordinates[first].tolist()} are not "
             f"the decoded genes {decoded[first].tolist()}"
         )
+    genes = grid.astype(np.intp)
+    # A stable sort keeps the entries of one point in file order: each
+    # after the first repeats it. lexsort, not a flat grid index, which
+    # overflows on grids of more than 2**63 points.
+    order = np.lexsort(genes.T[::-1])
+    ordered = genes[order]
+    repeated = np.zeros(len(genes), dtype=bool)
+    repeated[order[1:][np.all(ordered[1:] == ordered[:-1], axis=1)]] = True
+    outside = ~((powers >= 0.0) & (powers <= 1.0))  # NaN too
+    if (repeated | outside).any():
+        first = int(np.argmax(repeated | outside))
+        raise FormatError(
+            f"entries[{first}]: duplicate insert for {tuple(genes[first].tolist())}"
+            if repeated[first]
+            else f"entries[{first}]: power {float(powers[first])} outside [0, 1]"
+        )
+    metadata = section(payload, "", "metadata", required=False) or {}
+    return space, ordered, powers[order], metadata
+
+
+def _matrix(rows: list, width: int) -> np.ndarray:
+    """rows, lists of width numbers each, as an (m, width) float array."""
+    flat = itertools.chain.from_iterable(rows)
+    return np.fromiter(flat, dtype=float, count=len(rows) * width).reshape(-1, width)
 
 
 def load_queries_csv(path, space: SearchSpace) -> tuple[list[str], list[tuple[float, ...]]]:

@@ -141,19 +141,20 @@ class _Groups:
 class DictionaryIndex:
     """Decoded dictionary entries as arrays, for repeated queries."""
 
-    def __init__(self, dictionary: PowerDictionary, space: SearchSpace) -> None:
-        if len(dictionary) == 0:
+    def __init__(self, space: SearchSpace, genes, powers) -> None:
+        """genes: (m, d) distinct grid points in gene order, as
+        io.load_dictionary_arrays and PowerDictionary.arrays give them (ties
+        go to the lower row); powers: their (m,) values."""
+        if len(powers) == 0:
             raise QueryError("dictionary is empty")
-        entries = dictionary.sorted_items()
         self.space = space
-        self.chromosomes = [c for c, _ in entries]
-        self.genes = np.array([c.genes for c, _ in entries])
-        self.powers = np.array([v for _, v in entries])
+        self.genes = np.asarray(genes)
+        self.powers = np.asarray(powers, dtype=float)
         self.columns = np.ascontiguousarray(space.decode_many(self.genes).T)
         self._groups: dict[int, _Groups] = {}
 
     def __len__(self) -> int:
-        return len(self.chromosomes)
+        return len(self.powers)
 
     def _grouped(self, scales: np.ndarray) -> _Groups:
         """The groups whose free axis is the finest in distance units, the
@@ -183,7 +184,7 @@ class DictionaryIndex:
     def _rank(self, points: np.ndarray, k: int, metric: str) -> tuple[np.ndarray, np.ndarray]:
         """Rows and distances, both (m, k), of the k nearest entries to each
         of the (m, d) points, nearest first. Distances within _TIE_TOL are
-        ties, won by the lower row: rows are in gene order (sorted_items)."""
+        ties, won by the lower row: rows are in gene order."""
         if k > len(self):
             raise QueryError(f"k = {k} exceeds the {len(self)} stored entries")
         dimension = self.space.dimension
@@ -236,7 +237,7 @@ class DictionaryIndex:
         point = np.asarray(query.point, dtype=float).reshape(1, -1)
         (rows,), (distances,) = self._rank(point, query.k, query.metric)
         return [
-            Neighbor(self.chromosomes[i], float(self.powers[i]), float(d))
+            Neighbor(Chromosome(tuple(self.genes[i].tolist())), float(self.powers[i]), float(d))
             for i, d in zip(rows, distances)
         ]
 
@@ -256,5 +257,5 @@ def k_nearest(
 ) -> list[Neighbor]:
     """The k stored entries closest to the query point, ascending by
     distance, ties broken by gene order."""
-    return DictionaryIndex(dictionary, space).nearest(query)
+    return DictionaryIndex(space, *dictionary.arrays()).nearest(query)
 

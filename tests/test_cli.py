@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -7,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from powermap import GaReport
 from powermap.cli import main
 from powermap.config import load_run_config, resolved_config_dict
 from powermap.io import load_dictionary_json
+from powermap.knn import PredictorConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -302,7 +305,7 @@ class TestPredict:
         ]) == 0
         lines = out.read_text().strip().splitlines()[1:]
         assert len(lines) == 20
-        wants = DictionaryIndex(d, space).predict(points, 3, "normalized_euclidean")
+        wants = DictionaryIndex(space, *d.arrays()).predict(points, 3, "normalized_euclidean")
         for line, want in zip(lines, wants):
             assert float(line.split(",")[-1]) == pytest.approx(want, abs=5e-7)
 
@@ -342,6 +345,25 @@ class TestEvaluate:
         # learn and brute share oracle_seed 77: overlapping points agree exactly
         assert payload["rmse_seen_only"] == 0.0
         assert 0.0 < payload["query_ratio"] <= 1.0
+
+    def test_desk_report_equals_chromosome_loop(self, tmp_path, capsys):
+        """The report JSON of a desk learn scored against a brute-force export
+        (at another nsim, so that seen points differ) has the bytes of the
+        per-Chromosome reference loop's report."""
+        from test_evaluate import reference_evaluate
+
+        desk = str(CONFIGS / "desk.json")
+        assert main(["learn", "-c", desk, "--out-dir", str(tmp_path), "--prefix", "run"]) == 0
+        assert main(["brute-force", "-c", desk, "--nsim", "50", "--out-dir", str(tmp_path), "--prefix", "brute"]) == 0
+        report = tmp_path / "eval.json"
+        learned_path, brute_path = tmp_path / "run_dictionary.json", tmp_path / "brute_dictionary.json"
+        assert main(["evaluate", "--ga", str(learned_path), "--brute", str(brute_path), "--out", str(report)]) == 0
+        learned, space, metadata = load_dictionary_json(learned_path)
+        brute, _, _ = load_dictionary_json(brute_path)
+        ga = GaReport(learned, metadata["oracle_queries"], per_iteration=[], elapsed_seconds=0.0)
+        want = reference_evaluate(ga, brute, space, PredictorConfig.k)
+        assert want.rmse_seen_only > 0.0
+        assert report.read_bytes() == (json.dumps(dataclasses.asdict(want), indent=1) + "\n").encode()
 
     def test_repeat_calls_match_fresh_processes(self, tmp_path, capsys):
         """main builds its parser once per process: an option given to one

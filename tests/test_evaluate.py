@@ -16,7 +16,8 @@ from powermap import (
     rmse,
     run,
 )
-from powermap.evaluate import GridBudgetError, SweepRow, write_sweep_csv
+from powermap.evaluate import EvaluationReport, GridBudgetError, SweepRow, score, write_sweep_csv
+from powermap.knn import DictionaryIndex, PredictorConfig
 
 
 def tiny_space():
@@ -40,6 +41,99 @@ def as_report(dictionary, queries=None):
         per_iteration=[],
         elapsed_seconds=0.0,
     )
+
+
+def reference_evaluate(ga, brute, space, k):
+    """evaluate as a loop over the grid's Chromosomes, with a membership
+    test and a lookup per point: the reference that score must equal."""
+    grid = list(space.enumerate_grid())
+    size = space.grid_size
+    if len(brute) != size or any(c not in brute for c in grid):
+        raise ValueError(
+            f"brute-force dictionary has {len(brute)} entries; "
+            f"expected full coverage of the {size}-point grid"
+        )
+    learned = ga.dictionary
+    if len(learned) == 0:
+        raise ValueError("learned dictionary is empty")
+    seen = [c for c in grid if c in learned]
+    rmse_seen = rmse([brute[c] for c in seen], [learned[c] for c in seen])
+    predicted = iter(DictionaryIndex(space, *learned.arrays()).predict(
+        space.decode_many([c.genes for c in grid if c not in learned]), k, "normalized_euclidean"
+    ))
+    candidate = [learned[c] if c in learned else next(predicted) for c in grid]
+    return EvaluationReport(
+        rmse_seen_only=rmse_seen,
+        rmse_full_grid=rmse([brute[c] for c in grid], candidate),
+        grid_size=size,
+        ga_queries=ga.oracle_queries,
+        query_ratio=ga.oracle_queries / size,
+    )
+
+
+def desk_space():
+    return SearchSpace(
+        coefficient_ranges=(ParameterRange(0.0, 0.4, 0.1), ParameterRange(0.0, 0.6, 0.05)),
+        sample_size_range=ParameterRange(50, 200, 5),
+    )
+
+
+def four_d_space():
+    return SearchSpace(
+        coefficient_ranges=(
+            ParameterRange(0.0, 0.2, 0.1),
+            ParameterRange(-0.3, 0.3, 0.15),
+            ParameterRange(0.05, 0.5, 0.05),
+        ),
+        sample_size_range=ParameterRange(20, 500, 40),
+    )
+
+
+def random_dictionary(space, rows, powers):
+    d = PowerDictionary()
+    for i, power in zip(rows, powers):
+        d.insert(Chromosome(tuple(map(int, np.unravel_index(i, space.grid_counts)))), float(power))
+    return d
+
+
+class TestScore:
+    """score, over gene/power arrays, against the per-Chromosome loop."""
+
+    @pytest.mark.parametrize("space", [desk_space(), four_d_space()], ids=["desk", "4d"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_chromosome_loop(self, space, seed):
+        rng = np.random.default_rng(seed)
+        size = space.grid_size
+        truth = rng.integers(0, 201, size) / 200
+        brute = random_dictionary(space, range(size), truth)
+        count = int(rng.choice([1, 2, 7, rng.integers(1, size), size]))
+        rows = rng.choice(size, size=count, replace=False)
+        # The learned values agree with brute force at some points, as with
+        # a shared oracle seed, and not at others.
+        powers = np.where(rng.random(count) < 0.5, truth[rows], rng.integers(0, 201, count) / 200)
+        ga = as_report(random_dictionary(space, rows, powers), queries=count + int(rng.integers(0, 50)))
+        k = int(rng.integers(1, min(count, 9) + 1))
+        want = reference_evaluate(ga, brute, space, k)
+        got = score(ga.dictionary.arrays(), brute.arrays(), space, PredictorConfig(k), ga.oracle_queries)
+        assert got.rmse_seen_only == want.rmse_seen_only
+        assert got.rmse_full_grid == want.rmse_full_grid
+        assert got == want
+        assert evaluate(ga, brute, space, k) == want
+
+    @pytest.mark.parametrize("fault", ["off-grid", "repeated"])
+    def test_reference_must_cover_the_grid(self, fault):
+        space = tiny_space()
+        genes, powers = random_dictionary(space, range(space.grid_size), np.full(space.grid_size, 0.5)).arrays()
+        genes[3] = (99, 0) if fault == "off-grid" else genes[4]
+        learned = (genes[:2], powers[:2])
+        with pytest.raises(ValueError, match="coverage"):
+            score(learned, (genes, powers), space, PredictorConfig(1), 2)
+        if fault == "off-grid":
+            brute = PowerDictionary()
+            for c, power in zip(genes.tolist(), powers):
+                brute.insert(Chromosome(tuple(c)), power)
+            with pytest.raises(ValueError, match="coverage"):
+                evaluate(as_report(random_dictionary(space, [0], [0.5])), brute, space, k=1)
 
 
 class TestRmse:

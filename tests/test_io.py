@@ -4,6 +4,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from powermap import Chromosome, ParameterRange, PowerDictionary, SearchSpace
@@ -12,6 +13,7 @@ from powermap.io import (
     FormatError,
     export_dictionary_csv,
     export_dictionary_json,
+    load_dictionary_arrays,
     load_dictionary_json,
     load_queries_csv,
     space_from_dict,
@@ -86,6 +88,13 @@ class TestJsonDictionary:
             ({"values": [0.2, 0.6, 100.0]}, "entries[1]: values [0.2, 0.6, 100.0] are not"),
             ({"values": [0.2, 0.55, float("nan")]}, "entries[1]: values"),
             ({"values": [0.2, 0.55]}, "entries[1]: expected 3 genes and values"),
+            ({"values": [True, 0.55, 100.0]}, "entries[1].values: expected a list with each item a number"),
+            ({"power": 1.5}, "entries[1]: power 1.5 outside [0, 1]"),
+            ({"power": float("nan")}, "entries[1]: power nan outside [0, 1]"),
+            # the later of two entries for a point is named, whichever sorts first
+            ({"genes": [0, 0, 0], "values": [0.1, 0.3, 50.0]}, "entries[1]: duplicate insert for (0, 0, 0)"),
+            ({"genes": [4, 12, 30], "values": [0.3, 0.9, 200.0]}, "entries[2]: duplicate insert for (4, 12, 30)"),
+            ({"genes": [0, 0, 0], "values": [0.1, 0.3, 50.0], "power": 1.5}, "entries[1]: duplicate insert"),
         ],
     )
     def test_malformed_entry_names_it(self, tmp_path, entry, named):
@@ -96,6 +105,59 @@ class TestJsonDictionary:
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match=re.escape(named)):
             load_dictionary_json(path)
+
+
+class TestArrayLoader:
+    def test_shuffled_entries_load_like_sorted(self, tmp_path):
+        space = SearchSpace(
+            coefficient_ranges=(ParameterRange(0.1, 0.3, 0.05), ParameterRange(-1.0, 1.0, 0.25)),
+            sample_size_range=ParameterRange(10, 100, 3),
+        )
+        rng = np.random.default_rng(5)
+        d = PowerDictionary()
+        for i in rng.choice(space.grid_size, size=200, replace=False):
+            d.insert(Chromosome(tuple(map(int, np.unravel_index(i, space.grid_counts)))), float(rng.random()))
+        path = tmp_path / "dict.json"
+        export_dictionary_json(path, d, space, {"note": "sorted"})
+        payload = json.loads(path.read_text())
+        rng.shuffle(payload["entries"])
+        shuffled = tmp_path / "shuffled.json"
+        shuffled.write_text(json.dumps(payload))
+        got_space, genes, powers, metadata = load_dictionary_arrays(shuffled)
+        want_genes, want_powers = d.arrays()
+        assert got_space == space and metadata == {"note": "sorted"}
+        assert np.array_equal(genes, want_genes) and np.array_equal(powers, want_powers)
+        assert genes.dtype == np.intp and powers.dtype == float
+        loaded, _, _ = load_dictionary_json(shuffled)
+        assert loaded.sorted_items() == d.sorted_items()
+
+    def test_grid_beyond_int64_indices(self, tmp_path):
+        """A grid of more than 2**63 points has no int64 flat index; its
+        dictionaries still load, sorted and checked for repeats."""
+        space = SearchSpace(
+            coefficient_ranges=(ParameterRange(0, 1e7, 1),) * 3,
+            sample_size_range=ParameterRange(3, 1e7, 1),
+        )
+        assert space.grid_size > 2**63
+        d = PowerDictionary()
+        for genes, power in (((9_999_999, 0, 5, 0), 0.5), ((0, 9_999_999, 0, 1), 0.25), ((0, 9_999_999, 0, 0), 1.0)):
+            d.insert(Chromosome(genes), power)
+        path = tmp_path / "dict.json"
+        export_dictionary_json(path, d, space, {})
+        _, genes, powers, _ = load_dictionary_arrays(path)
+        assert genes.tolist() == [[0, 9_999_999, 0, 0], [0, 9_999_999, 0, 1], [9_999_999, 0, 5, 0]]
+        assert powers.tolist() == [1.0, 0.25, 0.5]
+        payload = json.loads(path.read_text())
+        payload["entries"].append(payload["entries"][0])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=re.escape("entries[3]: duplicate insert for (0, 9999999, 0, 0)")):
+            load_dictionary_arrays(path)
+
+    def test_no_entries(self, tmp_path):
+        path = tmp_path / "dict.json"
+        export_dictionary_json(path, PowerDictionary(), sample_space(), {})
+        _, genes, powers, _ = load_dictionary_arrays(path)
+        assert genes.shape == (0, 3) and powers.shape == (0,)
 
 
 DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.json"

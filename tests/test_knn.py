@@ -162,14 +162,14 @@ class TestPredictPower:
         space = make_space()
         d = fill(space, {(2, 3): 0.62, (7, 8): 0.9})
         point = tuple(space.decode(Chromosome((2, 3))))
-        (got,) = DictionaryIndex(d, space).predict([point], 1, "normalized_euclidean")
+        (got,) = DictionaryIndex(space, *d.arrays()).predict([point], 1, "normalized_euclidean")
         assert got == 0.62
 
     def test_unweighted_mean(self):
         space = make_space()
         d = fill(space, {(0, 0): 0.2, (1, 0): 0.4, (0, 1): 0.9})
         point = tuple(space.decode(Chromosome((0, 0))))
-        (got,) = DictionaryIndex(d, space).predict([point], 3, "normalized_euclidean")
+        (got,) = DictionaryIndex(space, *d.arrays()).predict([point], 3, "normalized_euclidean")
         assert got == pytest.approx((0.2 + 0.4 + 0.9) / 3)
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 15))
@@ -185,7 +185,7 @@ class TestPredictPower:
         point = (float(rng.uniform(0.1, 0.9)), float(rng.uniform(50, 500)))
         query = NeighborQuery(point=point, k=k)
         neighbors = k_nearest(d, space, query)
-        (prediction,) = DictionaryIndex(d, space).predict([point], k, query.metric)
+        (prediction,) = DictionaryIndex(space, *d.arrays()).predict([point], k, query.metric)
         powers = [nb.power for nb in neighbors]
         assert min(powers) - 1e-12 <= prediction <= max(powers) + 1e-12
 
@@ -261,7 +261,7 @@ class TestBatchedPredict:
                 d.insert(c, float(rng.random()))
         unseen = [c for c in space.enumerate_grid() if c not in d]
         points = np.array([space.decode(c) for c in unseen])
-        return DictionaryIndex(d, space), unseen, points
+        return DictionaryIndex(space, *d.arrays()), unseen, points
 
     @pytest.mark.parametrize("metric", ["normalized_euclidean", "raw_euclidean"])
     @pytest.mark.parametrize("k", [1, 5, 8])
@@ -273,7 +273,7 @@ class TestBatchedPredict:
         assert np.array_equal(got, want)  # bit-identical, so the same rows
         for c, point, r in zip(unseen, points, rows):
             neighbors = index.nearest(NeighborQuery(tuple(point), k, metric))
-            assert [nb.chromosome for nb in neighbors] == [index.chromosomes[i] for i in r]
+            assert [nb.chromosome.genes for nb in neighbors] == [tuple(index.genes[i]) for i in r]
 
     @pytest.mark.parametrize("queries_per_block", ["one", "all"])
     def test_chunking_does_not_change_values(self, desk, monkeypatch, queries_per_block):
@@ -400,7 +400,7 @@ class TestPrunedRanking:
     def test_interaction_grid_equals_full_scan(self, seed, size, kind, metric, k):
         space = interaction_space(n_upper=150)  # 5 x 13 x 10 x 21 points
         rng = np.random.default_rng(seed)
-        index = DictionaryIndex(random_dictionary(space, size, rng), space)
+        index = DictionaryIndex(space, *random_dictionary(space, size, rng).arrays())
         k = {"one": 1, "some": int(rng.integers(1, min(size, 12) + 1)), "all": size}[k]
         assert_ranked_exactly(index, random_queries(space, kind, 25, rng), k, metric)
 
@@ -424,7 +424,7 @@ class TestPrunedRanking:
         )
         rng = np.random.default_rng(seed)
         size = min(size, space.grid_size)
-        index = DictionaryIndex(random_dictionary(space, size, rng), space)
+        index = DictionaryIndex(space, *random_dictionary(space, size, rng).arrays())
         for k in sorted({1, int(rng.integers(1, size + 1)), size}):
             assert_ranked_exactly(index, random_queries(space, kind, 15, rng), k, metric)
 
@@ -434,7 +434,7 @@ class TestPrunedRanking:
         """Grid points as queries, the ties decided in integers."""
         space = interaction_space()
         rng = np.random.default_rng(9)
-        index = DictionaryIndex(random_dictionary(space, 2000, rng), space)
+        index = DictionaryIndex(space, *random_dictionary(space, 2000, rng).arrays())
         genes = np.column_stack([rng.integers(0, c, 1000) for c in space.grid_counts])
         rows, _ = index._rank(space.decode_many(genes), k, metric)
         weights = INTERACTION_WEIGHTS[metric]
@@ -451,7 +451,7 @@ class TestPrunedRanking:
         normalized metric."""
         space = interaction_space()
         d = fill(space, {(2, 6, 3, n): n / 100 for n in range(0, 91, 3)})
-        index = DictionaryIndex(d, space)
+        index = DictionaryIndex(space, *d.arrays())
         if metric == "normalized_euclidean":
             assert len(index._grouped(knn._scales(space, metric)).starts) == 1
         points = random_queries(space, "off-grid", 40, np.random.default_rng(4))
@@ -468,7 +468,7 @@ class TestPrunedRanking:
             (a, b, c, int(rng.integers(0, 91))): float(rng.random())
             for a in range(5) for b in range(0, 13, 2) for c in range(0, 10, 3)
         })
-        index = DictionaryIndex(d, space)
+        index = DictionaryIndex(space, *d.arrays())
         if metric == "normalized_euclidean":
             assert set(index._grouped(knn._scales(space, metric)).sizes) == {1}
         points = random_queries(space, "off-grid", 40, np.random.default_rng(6))
@@ -478,6 +478,6 @@ class TestPrunedRanking:
     def test_free_axis_is_the_finest(self):
         """Normalized: the sample size (90 steps); raw: a coefficient (0.05
         against 5), the last of the equally fine ones."""
-        index = DictionaryIndex(fill(interaction_space(), {(0, 0, 0, 0): 0.5}), interaction_space())
+        index = DictionaryIndex(interaction_space(), *fill(interaction_space(), {(0, 0, 0, 0): 0.5}).arrays())
         for metric, kept in (("normalized_euclidean", [0, 1, 2]), ("raw_euclidean", [0, 1, 3])):
             assert index._grouped(knn._scales(index.space, metric)).kept == kept

@@ -182,12 +182,18 @@ def scalar_reject(X, y, config):
     return run_test(fit, config.test, config.alpha, restricted).reject
 
 
+def decode_params(space, chromosome):
+    """Decoded coefficient vector and integer sample size."""
+    values = space.decode(chromosome)
+    return values[:-1], int(values[-1])
+
+
 def scalar_power(chromosome, space, config, seed):
     """Reference rejection share: one replication at a time through the
     public scalar path, rows drawn by generate_mlr_sample from one stream
     keyed on (seed, genes). The oracle draws other values; only the law of a
     replication is shared."""
-    beta, n = space.decode_params(chromosome)
+    beta, n = decode_params(space, chromosome)
     rng = np.random.default_rng(np.random.SeedSequence((seed, *chromosome.genes)))
     rejections = 0
     for _ in range(config.nsim):
@@ -307,7 +313,7 @@ class TestBatchedKernel:
         kernel, is ols_fit + run_test's on the same rows."""
         c = Chromosome(genes)
         point = oracle_mod._points([c], space, config)
-        beta, n = space.decode_params(c)
+        beta, n = decode_params(space, c)
         rng = np.random.default_rng(np.random.SeedSequence((7, *genes)))
         moments, expected = [], []
         for _ in range(300):
