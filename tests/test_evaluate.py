@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +18,12 @@ from powermap import (
     rmse,
     run,
 )
+from powermap.config import load_run_config
 from powermap.evaluate import EvaluationReport, GridBudgetError, SweepRow, score, write_sweep_csv
 from powermap.knn import DictionaryIndex, PredictorConfig
+
+
+DESK = load_run_config(Path(__file__).resolve().parent.parent / "configs" / "desk.json")
 
 
 def tiny_space():
@@ -71,13 +77,6 @@ def reference_evaluate(ga, brute, space, k):
     )
 
 
-def desk_space():
-    return SearchSpace(
-        coefficient_ranges=(ParameterRange(0.0, 0.4, 0.1), ParameterRange(0.0, 0.6, 0.05)),
-        sample_size_range=ParameterRange(50, 200, 5),
-    )
-
-
 def four_d_space():
     return SearchSpace(
         coefficient_ranges=(
@@ -99,7 +98,7 @@ def random_dictionary(space, rows, powers):
 class TestScore:
     """score, over gene/power arrays, against the per-Chromosome loop."""
 
-    @pytest.mark.parametrize("space", [desk_space(), four_d_space()], ids=["desk", "4d"])
+    @pytest.mark.parametrize("space", [DESK.space, four_d_space()], ids=["desk", "4d"])
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_chromosome_loop(self, space, seed):
         rng = np.random.default_rng(seed)
