@@ -168,11 +168,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     predictor = _predictor(args)
-    if predictor.metric != PredictorConfig.metric:
-        raise ValueError(
-            f"predictor.metric: evaluate scores with {PredictorConfig.metric} only, "
-            f"got {predictor.metric!r}"
-        )
     space, genes, powers, metadata = io_mod.load_dictionary_arrays(args.ga)
     brute_space, brute_genes, brute_powers, _ = io_mod.load_dictionary_arrays(args.brute)
     if space != brute_space:

@@ -76,7 +76,10 @@ def field(data: dict, path: str, key: str, kind, default: Any = MISSING) -> Any:
         if default is MISSING:
             raise FormatError(f"{where}: required field is missing")
         return default
-    converted = _conform([data[key]], kind)
+    try:
+        converted = _conform([data[key]], kind)
+    except OverflowError:
+        raise FormatError(f"{where}: an integer too large for a float") from None
     if converted is None:
         expected = (
             f"a list with each item {_KINDS[kind.__args__[0]]}"
@@ -252,7 +255,7 @@ def _arrays_from_dict(payload: Any) -> tuple[SearchSpace, np.ndarray, np.ndarray
     space = space_from_dict(section(payload, "", "search_space"))
     entries = section(payload, "", "entries", list)
     genes = column(entries, "entries", "genes", tuple[int, ...])
-    powers = np.array(column(entries, "entries", "power", float), dtype=float)
+    powers = _floats(column(entries, "entries", "power", float), "power")
     values = column(entries, "entries", "values", tuple[float, ...])
     dimension = space.dimension
     if not set(map(len, genes)) | set(map(len, values)) <= {dimension}:
@@ -261,7 +264,7 @@ def _arrays_from_dict(payload: Any) -> tuple[SearchSpace, np.ndarray, np.ndarray
                 raise FormatError(f"entries[{number}]: expected {dimension} genes and values")
     # As floats first, so that a gene too large for an integer array is
     # reported as off the grid.
-    grid = _matrix(genes, dimension)
+    grid = _floats(genes, "genes", dimension)
     counts = space.grid_counts
     off_grid = np.any((grid < 0) | (grid >= counts), axis=1)
     if off_grid.any():
@@ -271,7 +274,7 @@ def _arrays_from_dict(payload: Any) -> tuple[SearchSpace, np.ndarray, np.ndarray
             f"{' x '.join(map(str, counts))} grid"
         )
     decoded = space.decode_many(grid)
-    coordinates = _matrix(values, dimension)
+    coordinates = _floats(values, "values", dimension)
     # Not-within rather than beyond, so that a NaN value fails too.
     steps = np.array([r.step for r in space.ranges])
     misplaced = ~np.all(np.abs(coordinates - decoded) <= 1e-9 * steps, axis=1)
@@ -301,10 +304,25 @@ def _arrays_from_dict(payload: Any) -> tuple[SearchSpace, np.ndarray, np.ndarray
     return space, ordered, powers[order], metadata
 
 
-def _matrix(rows: list, width: int) -> np.ndarray:
-    """rows, lists of width numbers each, as an (m, width) float array."""
-    flat = itertools.chain.from_iterable(rows)
-    return np.fromiter(flat, dtype=float, count=len(rows) * width).reshape(-1, width)
+def _floats(rows: list, key: str, width: int = 0) -> np.ndarray:
+    """The entries' key as floats: rows of numbers as an (m,) array, or with
+    a width, rows of lists of width numbers each as an (m, width) array. An
+    integer too large for a float names its entry."""
+    flat = itertools.chain.from_iterable(rows) if width else rows
+    try:
+        array = np.fromiter(flat, dtype=float, count=len(rows) * max(width, 1))
+    except OverflowError:
+        first = next(i for i, row in enumerate(rows) if _too_large(row))
+        raise FormatError(f"entries[{first}].{key}: an integer too large for a float") from None
+    return array.reshape(-1, width) if width else array
+
+
+def _too_large(row) -> bool:
+    try:
+        np.array(row, dtype=float)
+    except OverflowError:
+        return True
+    return False
 
 
 def load_queries_csv(path, space: SearchSpace) -> tuple[list[str], list[tuple[float, ...]]]:

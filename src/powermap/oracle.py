@@ -9,45 +9,44 @@ order, worker placement, or how the replications are blocked.
 
 One call estimates all of its points in one pass, in blocks of whole points
 (points x replications arrays). Only the draws are made point by point; the
-moment products, the Gram matrices and the test run once per block, with
-each point's sample size, slopes and critical value broadcast over its
-replications. Every step after the draws is elementwise per replication, so
-an estimate does not depend on which other points share its call or its
-blocks.
+rest runs once per block, with each point's sample size, slopes and critical
+value broadcast over its replications. Every step after the draws is
+elementwise per replication, so an estimate does not depend on which other
+points share its call or its blocks.
 
 A replication's n rows are never drawn. The F test reads a sample only
-through the Gram matrix of its design [intercept, untested slopes, tested
-slopes, e], with the standard-normal noise e in the last column, and that
-matrix is a sum over groups of iid rows whose law is known exactly. The
-normal scheme has one group: n rows of q = p+1 variables (e, x1..xp). The
-experiment scheme has two: the x1 = -1 half (n // 2 rows) and the x1 = +1
-half, each of q = 2 variables (e, x2), since x1 and x1*x2 are fixed signs
-times a half's own columns. For m iid N(0, I_q) rows the sum z ~ N(0, m I_q)
-is independent of the centred cross products W ~ Wishart_q(m-1, I), and the
-uncentred cross products are C = W + z z^T / m. W is drawn by the Bartlett
-decomposition (Bartlett 1933; Anderson, An Introduction to Multivariate
-Statistical Analysis, sec. 7.2) as A A^T, A lower triangular with
-A_ii = sqrt(chi2(m-1-i)) for i < m-1, A_ij ~ N(0, 1) for j < min(i, m-1) and
-every other entry 0. The bound m-1 covers the experiment halves at n = 5,
-where m-1 = 1 < q and W is singular. With z = sqrt(m) u, u ~ N(0, I_q), the
-group's moment matrix [[m, z^T], [z, C]], the cross products of (1, e, x),
-is D D^T for D = [[0, sqrt(m)], [A, u]]: O(q^2) draws give it, however
-large m is. The estimand, random-design power, is
-that of drawn rows exactly; only the work per replication no longer grows
-with n.
-
-The design's Gram matrix is read off the moment matrices: under the normal
-scheme by permuting indices, under the experiment scheme from the sum and
-the difference of the two halves' (x1 is -1 on one and +1 on the other, and
-x1**2 = 1). A block of Gram matrices is factored by one Cholesky loop over
-the p+2 columns, each step vectorised over the block; the factor R is the R
-of a QR of the design. Since y = X b + s e (s^2 = sigma2), y's column of R is
-R[:, slopes] @ b + s R[:, e]. So the full model's SSE is (s R_ee)^2, free of
-beta, and the squared norm of the tested rows of y's column is the rise in
-SSE when the tested slopes are dropped. The Gram holds the noise, not y, so
-its conditioning depends on the design alone, not on beta or sigma2. A
-single-slope t test is the one-slope F test (t^2 = F(1, df)), so one cached
+through the Cholesky factor R of the Gram of its design [intercept, untested
+slopes, tested slopes, e], with the standard-normal noise e last. Since
+y = X b + s e (s^2 = sigma2), y's column of R is R[:, slopes] @ b + s R[:, e]:
+the full model's SSE is (s R_ee)^2, free of beta, and the squared norm of
+the tested rows of y's column is the rise in SSE when the tested slopes are
+dropped. A t test is the one-slope F test (t^2 = F(1, df)), so one cached
 critical value per (slopes tested, df, alpha) decides every replication.
+
+For m iid N(0, I_q) rows the sum z ~ N(0, m I_q) is independent of the
+centred cross products W ~ Wishart_q(m-1, I) = A A^T, the Bartlett
+decomposition (Bartlett 1933; Anderson, An Introduction to Multivariate
+Statistical Analysis, sec. 7.2): A is lower triangular with
+A_ii = sqrt(chi2(m-1-i)) and N(0, 1) below the diagonal, so A is W's
+Cholesky factor. Under the normal scheme the n rows of (slopes in column
+order, e) are one group, and R^T = [[sqrt(n), 0], [z / sqrt(n), A]] as drawn.
+The tested rows of R and the e pivot lie in A's bottom-right (k+1) x (k+1)
+block B for k tested slopes, so a replication draws B alone (k+1
+chi-squares, k(k+1)/2 normals) and the untested slopes drop out (Sampson
+1974, JASA 69:682-689): tested row t of y's column is
+s B[k, t] + sum_{t <= i < k} beta_i B[i, t], and SSE = (s B[k, k])^2.
+
+The experiment scheme's design is a fixed linear map of two groups, the
+x1 = -1 half (n // 2 rows) and the x1 = +1 half, each of q = 2 variables
+(e, x2), so it keeps the Gram. Per half A has A_ii only for i < m-1 and A_ij
+only for j < min(i, m-1), which covers n = 5 (m-1 = 1 < q, W singular), and
+with z = sqrt(m) u the moments [[m, z^T], [z, W + z z^T / m]] of (1, e, x2)
+are D D^T for D = [[0, sqrt(m)], [A, u]]. The Gram is read off the sum and
+the difference of the halves' moments (x1**2 = 1) and factored by one
+Cholesky loop over its p+2 columns, each step vectorised over the block. It
+holds the noise, not y, so its conditioning depends on the design alone.
+Under both schemes the estimand, random-design power, is that of drawn rows
+exactly, at O(p^2) draws per replication however large n is.
 """
 
 from __future__ import annotations
@@ -65,26 +64,27 @@ from .regression import REGRESSOR_SCHEMES, TestSpec
 from .special import f_cdf
 
 _MAX_REDRAWS = 10
-# Replications per block of draws and Gram matrices. A call's points share
-# blocks: a block holds as many whole points as fit, or part of one point
-# with more replications. The size bounds the working set for any nsim and
-# any batch without changing any value: each generator is read row-major,
-# one replication's values after another, and every step after the draws is
+# Replications per block of draws. A call's points share blocks: a block
+# holds as many whole points as fit, or part of one point with more
+# replications. The size bounds the working set for any nsim and any batch
+# without changing any value: each generator is read row-major, one
+# replication's values after another, and every step after the draws is
 # elementwise per replication.
 _BLOCK_ROWS = 1024
-# A slope column is degenerate when its Cholesky pivot d_j is at most
-# (_PIVOT_TOL + Gram rounding) * G_jj. Here d_j / G_jj is the squared sine of
-# the angle between column j and the span of the j columns before it. A Gram
-# entry taken from a sample's rows sums n products (the oracle's own sums of
-# its moment factors round less), and the pivot takes up to p+2 more steps, so
-# rounding alone moves d_j by up to about (n + p + 2) * eps * G_jj: an exactly
-# duplicated column leaves a pivot of that size, not 0, and an F built on it
-# is rounding noise. The QR rule of regression.ols_fit (R_jj^2 <= 1e-20 of
-# the column's squared norm) sits below that rounding and would let it
-# through. _PIVOT_TOL = 1e-10 flags angles under 1e-5 radians, where a pivot
-# keeps at most ~6 correct digits (n * eps / 1e-10 relative error). A drawn
-# design comes that close to collinear with probability of order
-# 1e-10 ** ((n - j) / 2), at most ~1e-10 per replication.
+# Under the experiment scheme, a slope column is degenerate when its Cholesky
+# pivot d_j is at most (_PIVOT_TOL + Gram rounding) * G_jj. Here d_j / G_jj is
+# the squared sine of the angle between column j and the span of the j
+# columns before it. A Gram entry taken from a sample's rows sums n products
+# (the oracle's own sums of its moment factors round less), and the pivot
+# takes up to p+2 more steps, so rounding alone moves d_j by up to about
+# (n + p + 2) * eps * G_jj: an exactly duplicated column leaves a pivot of
+# that size, not 0, and an F built on it is rounding noise. The QR rule of
+# regression.ols_fit (R_jj^2 <= 1e-20 of the column's squared norm) sits
+# below that rounding and would let it through. _PIVOT_TOL = 1e-10 flags
+# angles under 1e-5 radians, where a pivot keeps at most ~6 correct digits
+# (n * eps / 1e-10 relative error). A drawn design comes that close to
+# collinear with probability of order 1e-10 ** ((n - j) / 2), at most ~1e-10
+# per replication.
 _PIVOT_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
@@ -146,15 +146,9 @@ class _Points:
     sigma: float  # noise standard deviation, sqrt(sigma2)
     beta: np.ndarray  # (p, points, 1): slopes in column order
     groups: np.ndarray  # (groups, points, 1): rows per group, (n,) or the x1 = -1 and +1 halves
-    tolerance: np.ndarray  # (points, 1): _PIVOT_TOL + (n + p + 2) * eps, see _PIVOT_TOL
+    tolerance: np.ndarray  # (points, 1): _PIVOT_TOL + (n + p + 2) * eps, experiment only
     df: np.ndarray  # (points, 1): residual degrees of freedom n - p - 1, as floats
     threshold: np.ndarray  # (points, 1): tested * F_{1-alpha}(tested, df)
-
-    @property
-    def variables(self) -> int:
-        """Variables per row of a group: e, then the drawn regressors (all p
-        for normal, the measure x2 for experiment)."""
-        return len(self.beta) + 1 if self.scheme == "normal" else 2
 
     def __getitem__(self, at: slice) -> "_Points":
         """The points at a slice of their indices."""
@@ -221,8 +215,9 @@ def _points(chromosomes: Sequence[Chromosome], space: SearchSpace, config: Oracl
 
 @lru_cache(maxsize=1024)
 def _bartlett(groups: tuple[int, ...], q: int) -> tuple[np.ndarray, ...]:
-    """Layout of one replication's moment factors D = [[0, sqrt(m)], [A, u]],
-    one (q+1) x (q+1) matrix per group of m rows, flattened in group order;
+    """Layout of one experiment replication's moment factors
+    D = [[0, sqrt(m)], [A, u]], one (q+1) x (q+1) matrix per group of m rows
+    (q = 2 variables, e and x2, per half), flattened in group order;
     group g's sqrt(m) sits at g * (q+1)**2 + q.
 
     Returns the flat positions of the standard normals (per group: u, then A
@@ -256,12 +251,55 @@ def _streams(key: tuple[int, ...]) -> tuple[np.random.Generator, np.random.Gener
     return tuple(np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,))) for i in range(2))
 
 
+_tril_indices = lru_cache(maxsize=None)(np.tril_indices)
+
+
+def _draw_factors(
+    streams: Sequence[tuple[np.random.Generator, ...]], rows: int, points: _Points
+) -> np.ndarray:
+    """Normal scheme: the tested blocks B, (k+1, k+1, points, rows), of the
+    next rows replications of each point's generators. Per replication the
+    chi-square generator gives B's squared diagonal, with n-1-(p-k), ...,
+    n-1-p degrees of freedom, and the normal generator its strictly lower
+    triangle in np.tril_indices order."""
+    k, p = points.tested, len(points.beta)
+    dfs = points.groups[0] - 1 - np.arange(p - k, p + 1)
+    lower = _tril_indices(k + 1, -1)
+    chi2 = np.empty((len(streams), rows, k + 1))
+    normals = np.empty((len(streams), rows, len(lower[0])))
+    for j, (normal, chi) in enumerate(streams):
+        chi2[j] = chi.chisquare(dfs[j], (rows, k + 1))
+        normals[j] = normal.standard_normal((rows, len(lower[0])))
+    factor = np.zeros((k + 1, k + 1, len(streams), rows))
+    factor[np.diag_indices(k + 1)] = np.sqrt(chi2).transpose(2, 0, 1)
+    factor[lower] = normals.transpose(2, 0, 1)
+    return factor
+
+
+def _factor_rejections(factor: np.ndarray, points: _Points) -> tuple[np.ndarray, np.ndarray]:
+    """Normal scheme: rejection indicators for a (k+1, k+1, points, rows)
+    block of tested blocks B, and a mask of the replications whose fit is
+    degenerate: a zero pivot or a zero SSE."""
+    k, beta = points.tested, points.beta[-points.tested :]
+    # Tested rows of y's column of R, s B[k, t] + b_t B[t, t] + ... + b_{k-1} B[k-1, t].
+    rise = np.zeros(factor.shape[2:])
+    for t in range(k):
+        y = points.sigma * factor[k, t]
+        for i in range(t, k):
+            y += beta[i] * factor[i, t]
+        rise += y * y
+    sse = points.sigma**2 * factor[k, k] ** 2
+    degenerate = (sse <= 0.0) | (np.diagonal(factor) == 0.0).any(axis=-1)
+    return rise * points.df > points.threshold * sse, degenerate
+
+
 def _draw_moments(
     streams: Sequence[tuple[np.random.Generator, ...]], rows: int, points: _Points
 ) -> np.ndarray:
-    """The moment matrices of a block of replications, (groups, q+1, q+1,
-    points, rows): the next rows replications of each point's generators."""
-    q, size = points.variables, (points.variables + 1) ** 2
+    """Experiment scheme: the moment matrices of a block of replications,
+    (2, 3, 3, points, rows), one per half over (1, e, x2): the next rows
+    replications of each point's generators."""
+    q, size = 2, 9
     factor = np.zeros((len(points.groups) * size, len(streams), rows))
     factor[q::size] = np.sqrt(points.groups)
     for k, (normal, chi) in enumerate(streams):
@@ -288,53 +326,43 @@ _EXPERIMENT_COLUMNS = ((0, 0), (0, 1), (2, 0), (2, 1), (1, 0))
 
 
 @lru_cache(maxsize=None)
-def _gram_index(scheme: str, order: tuple[int, ...]) -> np.ndarray:
-    """Flat indices of the Gram, slopes in the given column order, into the
-    (parity, u, v) moments summed by _gram, u and v indexing (1, e,
-    regressors). A design column is variable u times x1**a, so the entry of
-    columns (u, a) and (v, b) is the sum of x1**(a + b) u v, found at
-    [(a + b) % 2, min(u, v), max(u, v)] since x1**2 = 1; under the normal
-    scheme a = 0 for every column."""
-    if scheme == "experiment":
-        columns = [_EXPERIMENT_COLUMNS[c] for c in (0, *(j + 1 for j in order), 4)]
-    else:
-        columns = [(0, 0), *((j + 2, 0) for j in order), (1, 0)]
-    width = 3 if scheme == "experiment" else len(order) + 2
+def _gram_index(order: tuple[int, ...]) -> np.ndarray:
+    """Flat indices of the experiment design's Gram, slopes in the given
+    column order, into the (parity, u, v) moments summed by _gram, u and v
+    indexing (1, e, x2). A design column is variable u times x1**a, so the
+    entry of columns (u, a) and (v, b) is the sum of x1**(a + b) u v, found
+    at [(a + b) % 2, min(u, v), max(u, v)] since x1**2 = 1."""
+    columns = [_EXPERIMENT_COLUMNS[c] for c in (0, *(j + 1 for j in order), 4)]
     index = np.array(
-        [
-            [width * (width * ((a + b) % 2) + min(u, v)) + max(u, v) for v, b in columns]
-            for u, a in columns
-        ]
+        [[3 * (3 * ((a + b) % 2) + min(u, v)) + max(u, v) for v, b in columns] for u, a in columns]
     )
     index.flags.writeable = False  # shared by every caller through the cache
     return index
 
 
 def _gram(moments: np.ndarray, points: _Points) -> np.ndarray:
-    """Gram matrices of the designs [intercept, slopes in column order, e],
-    as a (p+2, p+2, points, rows) array.
+    """Gram matrices of the experiment designs [intercept, slopes in column
+    order, e], as a (5, 5, points, rows) array.
 
-    moments is (groups, q+1, q+1, points, rows): per replication, each row
-    group's [[m, z^T], [z, C]], its row count, the sums z of its variables and
-    their cross products C. The variables are (e, x1..xp) under the normal
-    scheme and (e, x2) under the experiment scheme, whose x1 = -1 half comes
-    first. Only entries on and above the diagonal are read.
+    moments is (2, 3, 3, points, rows): per replication, each half's
+    [[m, z^T], [z, C]], its row count, the sums z of (e, x2) and their cross
+    products C, the x1 = -1 half first. Only entries on and above the
+    diagonal are read.
     """
-    if points.scheme == "experiment":
-        minus, plus = moments
-        # Sums over all rows of the products of (1, e, x2) times x1**0, then
-        # times x1.
-        moments = np.empty_like(moments)
-        np.add(plus, minus, out=moments[0])
-        np.subtract(plus, minus, out=moments[1])
-    return moments.reshape(-1, *moments.shape[-2:])[_gram_index(points.scheme, points.order)]
+    minus, plus = moments
+    # Sums over all rows of the products of (1, e, x2) times x1**0, then
+    # times x1.
+    summed = np.empty_like(moments)
+    np.add(plus, minus, out=summed[0])
+    np.subtract(plus, minus, out=summed[1])
+    return summed.reshape(-1, *moments.shape[-2:])[_gram_index(points.order)]
 
 
 def _rejections(gram: np.ndarray, points: _Points) -> tuple[np.ndarray, np.ndarray]:
-    """Rejection indicators for a (p+2, p+2, points, rows) block of Gram
-    matrices, and a mask of the replications whose fit is degenerate: a
-    slope column within _PIVOT_TOL of the span of the columns before it, or a
-    zero SSE.
+    """Experiment scheme: rejection indicators for a (p+2, p+2, points, rows)
+    block of Gram matrices, and a mask of the replications whose fit is
+    degenerate: a slope column within _PIVOT_TOL of the span of the columns
+    before it, or a zero SSE.
 
     Factors the block in place, right-looking: step j leaves row j of the
     Cholesky factor R in gram[j, j:] and the Schur complement in
@@ -366,6 +394,15 @@ def _rejections(gram: np.ndarray, points: _Points) -> tuple[np.ndarray, np.ndarr
     return rise * points.df > points.threshold * sse, degenerate
 
 
+def _replications(
+    streams: Sequence[tuple[np.random.Generator, ...]], rows: int, points: _Points
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rejection indicators and degenerate mask, (points, rows), of the next rows replications."""
+    if points.scheme == "normal":
+        return _factor_rejections(_draw_factors(streams, rows, points), points)
+    return _rejections(_gram(_draw_moments(streams, rows, points), points), points)
+
+
 def estimate_many(
     chromosomes: Sequence[Chromosome],
     space: SearchSpace,
@@ -393,7 +430,7 @@ def estimate_many(
         streams = [_streams((master_seed, *c.genes)) for c in chromosomes[first:last]]
         for start in range(0, nsim, _BLOCK_ROWS):
             rows = min(_BLOCK_ROWS, nsim - start)
-            reject, degenerate = _rejections(_gram(_draw_moments(streams, rows, block), block), block)
+            reject, degenerate = _replications(streams, rows, block)
             for column in np.flatnonzero(degenerate).tolist():
                 k, row = divmod(column, rows)
                 key = (master_seed, *chromosomes[first + k].genes, start + row)
@@ -412,16 +449,19 @@ def estimate_power(
     one of estimate_many.
 
     Deterministic in (chromosome, config, master_seed); always an exact
-    multiple of 1 / nsim.
+    multiple of 1 / nsim. A replication reads its test off its design's
+    Cholesky factor: under the normal scheme off the drawn block of the
+    tested slopes and the noise, under the experiment scheme off the
+    factored Gram matrix.
 
     A degenerate replication is re-drawn, at most _MAX_REDRAWS times, from the
-    streams keyed on (master_seed, genes, row, attempt). Degenerate means a
-    nearly collinear design (a slope column's Cholesky pivot at most
-    _PIVOT_TOL plus Gram rounding times its G_jj) or an SSE <= 0. Exact
-    collinearity and a zero SSE have probability zero under both schemes; the
-    tolerance adds redraws of designs that are merely nearly collinear, so the
-    retry can bias the estimate by at most their probability, ~1e-10 per
-    replication (see the comment on _PIVOT_TOL).
+    streams keyed on (master_seed, genes, row, attempt). Degenerate means an
+    SSE <= 0; under the normal scheme, which forms no Gram, also a zero drawn
+    pivot; under the experiment scheme also a nearly collinear design (a
+    slope column's Cholesky pivot at most _PIVOT_TOL plus Gram rounding times
+    its G_jj). Each of these has probability zero but the last, so the retry
+    can bias an experiment estimate by at most ~1e-10 per replication (see
+    the comment on _PIVOT_TOL).
     """
     return estimate_many([chromosome], space, config, master_seed)[0]
 
@@ -430,8 +470,7 @@ def _redraw(point: _Points, key: tuple[int, ...]) -> bool:
     """Rejection indicator of a degenerate replication's replacement; point
     holds the one point it belongs to."""
     for attempt in range(1, _MAX_REDRAWS + 1):
-        moments = _draw_moments([_streams((*key, attempt))], 1, point)
-        reject, degenerate = _rejections(_gram(moments, point), point)
+        reject, degenerate = _replications([_streams((*key, attempt))], 1, point)
         if not degenerate[0, 0]:
             return bool(reject[0, 0])
     raise OracleError(

@@ -11,7 +11,8 @@ import pytest
 from powermap import GaReport
 from powermap.cli import main
 from powermap.config import load_run_config, resolved_config_dict
-from powermap.io import load_dictionary_json
+from powermap.evaluate import score
+from powermap.io import load_dictionary_arrays, load_dictionary_json
 from powermap.knn import PredictorConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -206,6 +207,25 @@ class TestPredict:
         stored = d[space.snap([0.3, 40])]
         line = out.read_text().strip().splitlines()[1]
         assert line == f"0.300000,40.000000,{stored:.6f}"
+
+    @pytest.mark.parametrize("key", ["genes", "power"])
+    def test_integer_too_large_for_a_float_exits_2(self, tmp_path, brute_export, capsys, key):
+        """predict and evaluate name the entry."""
+        payload = json.loads(brute_export.read_text())
+        entry = payload["entries"][3]
+        entry[key] = [10**400, *entry["genes"][1:]] if key == "genes" else 10**400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        queries = tmp_path / "q.csv"
+        queries.write_text("theta_1,n\n0.3,40\n")
+        capsys.readouterr()
+        for argv in (
+            ["predict", "--dictionary", str(bad), "--queries", str(queries), "--out", str(tmp_path / "p.csv")],
+            ["evaluate", "--ga", str(brute_export), "--brute", str(bad)],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"entries[3].{key}: an integer too large for a float" in err
 
     def test_empty_queries_gives_header_only(self, tmp_path, brute_export):
         queries = tmp_path / "q.csv"
@@ -406,18 +426,30 @@ class TestEvaluate:
         assert main(["evaluate", "--ga", str(learned), "--brute", str(brute)]) == 2
         assert named in capsys.readouterr().err
 
-    def test_config_metric_other_than_normalized_exits_2(self, tmp_path, capsys):
-        """evaluate scores under the normalized metric alone; a -c config
-        that asks for another is refused, not silently ignored."""
-        config = write_config(tmp_path, predictor={"k": 3, "metric": "raw_euclidean"})
-        main(["brute-force", "-c", str(config), "--prefix", "brute"])
-        brute = tmp_path / "out" / "brute_dictionary.json"
-        capsys.readouterr()
-        assert main(["evaluate", "-c", str(config), "--ga", str(brute), "--brute", str(brute)]) == 2
-        captured = capsys.readouterr()
-        assert "predictor.metric" in captured.err and captured.out == ""
-        write_config(tmp_path, predictor={"k": 3, "metric": "normalized_euclidean"})
-        assert main(["evaluate", "-c", str(config), "--ga", str(brute), "--brute", str(brute)]) == 0
+    def test_config_metric_is_honoured(self, tmp_path, capsys):
+        """A -c config's predictor.metric ranks the neighbours: the report
+        equals score's under that predictor, and differs from the default
+        metric's."""
+        data = json.loads((CONFIGS / "desk.json").read_text())
+        data["predictor"] = {"k": 3, "metric": "raw_euclidean"}
+        data["output"] = {"directory": str(tmp_path), "prefix": "run"}
+        config = tmp_path / "raw.json"
+        config.write_text(json.dumps(data))
+        assert main(["learn", "-c", str(config)]) == 0
+        assert main(["brute-force", "-c", str(config), "--nsim", "50", "--prefix", "brute"]) == 0
+        learned, brute = tmp_path / "run_dictionary.json", tmp_path / "brute_dictionary.json"
+        argv = ["evaluate", "--ga", str(learned), "--brute", str(brute), "--out", str(tmp_path / "eval.json")]
+        assert main([*argv, "-c", str(config)]) == 0
+        raw = (tmp_path / "eval.json").read_bytes()
+        space, genes, powers, metadata = load_dictionary_arrays(learned)
+        _, brute_genes, brute_powers, _ = load_dictionary_arrays(brute)
+        want = score(
+            (genes, powers), (brute_genes, brute_powers), space,
+            PredictorConfig(3, "raw_euclidean"), metadata["oracle_queries"],
+        )
+        assert raw == (json.dumps(dataclasses.asdict(want), indent=1) + "\n").encode()
+        assert main([*argv, "--k", "3"]) == 0
+        assert (tmp_path / "eval.json").read_bytes() != raw
 
     def test_mismatched_spaces_exit_2(self, tmp_path, capsys):
         config_a = write_config(tmp_path)
@@ -452,3 +484,19 @@ class TestWorkerDeterminism:
         assert main(["learn", "-c", str(config), "--workers", "2"]) == 0
         for name in ("run_dictionary.csv", "run_dictionary.json"):
             assert (out / name).read_bytes() == (stash / name).read_bytes()
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """predict and evaluate never draw, so importing the CLI must not load
+    numpy.random where numpy loads it lazily: it adds ~6 MB to a process's
+    peak RSS, and start-up time to every command."""
+    code = (
+        "import sys, numpy; lazy = 'numpy.random' not in sys.modules; "
+        "import powermap.cli; print(lazy, 'numpy.random' in sys.modules)"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout.split()
+    assert out != ["True", "True"]

@@ -49,6 +49,12 @@ class TestSpaceSerialization:
         with pytest.raises(FormatError):
             space_from_dict({"coefficients": [{"lower": 0.1}]})
 
+    def test_integer_too_large_for_a_float_names_the_field(self):
+        data = space_to_dict(sample_space())
+        data["sample_size"]["upper"] = 10**400
+        with pytest.raises(FormatError, match=re.escape("sample_size.upper: an integer too large for a float")):
+            space_from_dict(data)
+
 
 class TestJsonDictionary:
     def test_lossless_roundtrip(self, tmp_path):
@@ -95,6 +101,11 @@ class TestJsonDictionary:
             ({"genes": [0, 0, 0], "values": [0.1, 0.3, 50.0]}, "entries[1]: duplicate insert for (0, 0, 0)"),
             ({"genes": [4, 12, 30], "values": [0.3, 0.9, 200.0]}, "entries[2]: duplicate insert for (4, 12, 30)"),
             ({"genes": [0, 0, 0], "values": [0.1, 0.3, 50.0], "power": 1.5}, "entries[1]: duplicate insert"),
+            # JSON integers too large for a float
+            ({"genes": [2, 10**400, 10]}, "entries[1].genes: an integer too large for a float"),
+            ({"genes": [2, -(10**400), 10]}, "entries[1].genes: an integer too large for a float"),
+            ({"power": 10**400}, "entries[1].power: an integer too large for a float"),
+            ({"values": [0.2, 0.55, 10**400]}, "entries[1].values: an integer too large for a float"),
         ],
     )
     def test_malformed_entry_names_it(self, tmp_path, entry, named):

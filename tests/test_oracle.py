@@ -292,39 +292,51 @@ KERNEL_CASES = [
 EXPERIMENT_CASES = [case for case in KERNEL_CASES if case[1].scheme == "experiment"]
 
 
-def row_moments(X, noise, scheme, groups):
-    """Each row group's moment matrix from one sample's rows, as
-    (groups, q+1, q+1): the cross products of (1, e, drawn regressors), so
-    the group's row count m, the sums z of e and the regressors, and their
-    cross products C. The experiment scheme draws only the measure x2, and
-    its x1 = -1 half comes first."""
-    if scheme == "experiment":
-        assert (X[:, 1] == np.repeat([-1.0, 1.0], groups)).all()
-    drawn = X[:, 1:] if scheme == "normal" else X[:, 2:3]
-    columns = np.column_stack([np.ones(len(X)), noise, drawn])
-    ends = np.cumsum(groups)
-    return np.stack([part.T @ part for part in np.split(columns, ends[:-1])])
+def row_moments(X, noise, groups):
+    """Experiment scheme: each half's moment matrix from one sample's rows,
+    as (2, 3, 3): the cross products of (1, e, x2), so the half's row count
+    m, the sums z of e and x2, and their cross products C, the x1 = -1 half
+    first."""
+    assert (X[:, 1] == np.repeat([-1.0, 1.0], groups)).all()
+    columns = np.column_stack([np.ones(len(X)), noise, X[:, 2]])
+    return np.stack([part.T @ part for part in np.split(columns, groups[:1])])
+
+
+def factor_block(X, noise, point):
+    """Normal scheme: the tested block of one sample's factor, the bottom
+    right (k+1) x (k+1) of the Cholesky factor of the Gram of its design
+    [1, slopes in column order, e]."""
+    design = np.column_stack([X[:, [0, *(j + 1 for j in point.order)]], noise])
+    return np.linalg.cholesky(design.T @ design)[-point.tested - 1 :, -point.tested - 1 :]
 
 
 class TestBatchedKernel:
     @pytest.mark.parametrize("space, config, genes", KERNEL_CASES)
     def test_equals_scalar_loop(self, space, config, genes):
-        """Each replication's decision from its rows' moments, through the
-        kernel, is ols_fit + run_test's on the same rows."""
+        """Each replication's decision from its rows, through the kernel, is
+        ols_fit + run_test's on the same rows: from the rows' moments under
+        the experiment scheme, from the tested block of the rows' exact
+        factor under the normal scheme."""
         c = Chromosome(genes)
         point = oracle_mod._points([c], space, config)
         beta, n = decode_params(space, c)
         rng = np.random.default_rng(np.random.SeedSequence((7, *genes)))
-        moments, expected = [], []
+        samples, expected = [], []
         for _ in range(300):
             # generate_mlr_sample draws the noise first: a copy of the
             # stream gives the sample's e without rounding.
             noise = copy.deepcopy(rng).standard_normal(n)
             X, y = generate_mlr_sample(beta, n, config.sigma2, config.scheme, rng)
-            moments.append(row_moments(X, noise, config.scheme, point.groups[:, 0, 0]))
+            if config.scheme == "normal":
+                samples.append(factor_block(X, noise, point))
+            else:
+                samples.append(row_moments(X, noise, point.groups[:, 0, 0]))
             expected.append(scalar_reject(X, y, config))
-        gram = oracle_mod._gram(np.stack(moments, axis=-1)[..., None, :], point)
-        reject, degenerate = oracle_mod._rejections(gram, point)
+        block = np.stack(samples, axis=-1)[..., None, :]
+        if config.scheme == "normal":
+            reject, degenerate = oracle_mod._factor_rejections(block, point)
+        else:
+            reject, degenerate = oracle_mod._rejections(oracle_mod._gram(block, point), point)
         assert not degenerate.any()
         assert reject[0].tolist() == expected
 
@@ -369,17 +381,19 @@ def small_n_space():
     )
 
 
-# Mixed batches, each value the one estimate_power gave for its point alone
-# before evaluate_many batched its points (master seed 9).
+# Mixed batches, each value the one estimate_power gives for its point alone
+# (master seed 9): under the normal scheme since it draws the tested block of
+# the factor, under the experiment scheme since before evaluate_many batched
+# its points.
 BATCHES = [
     pytest.param(
         desk_space(), t_config(200),
-        {(0, 3, 20): 0.225, (2, 5, 10): 0.48, (4, 12, 30): 0.985, (1, 0, 0): 0.18, (4, 12, 0): 0.54},
+        {(0, 3, 20): 0.135, (2, 5, 10): 0.45, (4, 12, 30): 0.995, (1, 0, 0): 0.14, (4, 12, 0): 0.49},
         id="desk",
     ),
     pytest.param(
         desk_space(), OracleConfig(200, 0.05, 2.5, TestSpec((1, 2), "f_joint"), "normal"),
-        {(3, 7, 12): 0.98, (0, 0, 0): 0.21, (4, 12, 30): 1.0},
+        {(3, 7, 12): 0.975, (0, 0, 0): 0.23, (4, 12, 30): 1.0},
         id="two-slope-f",
     ),
     pytest.param(
@@ -460,8 +474,8 @@ def exact_interaction_power(beta3, n, sigma2, alpha):
 
 
 LAW_NSIM = 200_000
-# Seven law checks, each two-sided at 4 SE (a normal tail of 6.3e-5): a
-# sampler with the right law fails any of them with probability under 5e-4.
+# Nine law checks, each two-sided at 4 SE (a normal tail of 6.3e-5): a
+# sampler with the right law fails any of them with probability under 6e-4.
 LAW_BAND = 4.0
 INTERACTION = TestSpec((3,), "f_joint")
 LAW_POINTS = [
@@ -471,6 +485,13 @@ LAW_POINTS = [
                  exact_normal_power([0.3], 60, 2, 1.0, 0.05), id="desk-t-n60"),
     pytest.param([0.2, 0.3], 40, TestSpec((1, 2), "f_joint"), "normal",
                  exact_normal_power([0.2, 0.3], 40, 2, 1.0, 0.05), id="two-slope-f"),
+    # every slope tested, so the drawn block is the whole factor but its
+    # intercept row
+    pytest.param([0.2, 0.15, 0.25], 50, TestSpec((1, 2, 3), "f_joint"), "normal",
+                 exact_normal_power([0.2, 0.15, 0.25], 50, 3, 1.0, 0.05), id="three-slope-f"),
+    # a tested slope that is not last in config order moves to the last column
+    pytest.param([0.3, 0.25, 0.5], 60, TestSpec((2,), "t_single"), "normal",
+                 exact_normal_power([0.25], 60, 3, 1.0, 0.05), id="t-slope-2-of-3"),
     pytest.param([0.2, 0.6, 0.25], 50, INTERACTION, "experiment",
                  exact_interaction_power(0.25, 50, 1.0, 0.05), id="interaction-n50"),
     pytest.param([0.2, 0.6, 0.25], 55, INTERACTION, "experiment",
@@ -502,10 +523,10 @@ class TestSamplerLaw:
 
 
 def _edited_moments(keys, edit):
-    """Wrap the Gram kernel so that the replications whose first group's
-    sum of e is in keys (all of them, for None) have their moment matrices
-    changed by edit, as if their rows had been: a (groups, q+1, q+1, hits)
-    array over (1, e, drawn regressors)."""
+    """Experiment scheme: wrap the Gram kernel so that the replications whose
+    first half's sum of e is in keys (all of them, for None) have their
+    moment matrices changed by edit, as if their rows had been: a
+    (2, 3, 3, hits) array over (1, e, x2)."""
     real = oracle_mod._gram
 
     def broken(moments, point):
@@ -516,26 +537,43 @@ def _edited_moments(keys, edit):
         moments[..., hit] = edited
         return real(moments, point)
 
-    return broken
+    return "_gram", broken
 
 
-def _zero_regressors(keys):
-    """All-zero regressors: a rank-deficient design."""
+def _edited_factors(keys, pivot, value):
+    """Normal scheme: wrap the draw of the tested blocks so that the
+    replications whose first drawn normal, B[1, 0], is in keys (all of them,
+    for None) have B[pivot, pivot] = value."""
+    real = oracle_mod._draw_factors
+
+    def broken(streams, rows, point):
+        factor = real(streams, rows, point)
+        hit = np.isin(factor[1, 0], keys) if keys is not None else slice(None)
+        factor[pivot, pivot][hit] = value
+        return factor
+
+    return "_draw_factors", broken
+
+
+def _zero_sse(keys):
+    """A noise pivot of 1e-300: not zero, but the SSE, its square, is."""
+    return _edited_factors(keys, -1, 1e-300)
+
+
+def _zero_tested_pivot(keys):
+    """A zero pivot for the first tested slope: its column in the span of the
+    columns before it."""
+    return _edited_factors(keys, 0, 0.0)
+
+
+def _measure_times_condition(keys):
+    """Experiment scheme: the measure x2 = 0.7 x1 on every row, so x2 is
+    collinear with x1 and x1 * x2 with the intercept, up to Gram rounding."""
 
     def edit(m):
-        m[:, 2:] = 0.0
-        m[:, :, 2:] = 0.0
-
-    return _edited_moments(keys, edit)
-
-
-def _duplicate_regressor(keys):
-    """Regressor 2 equal to regressor 1: a design whose Gram pivot is
-    rounding, not zero."""
-
-    def edit(m):
-        m[:, 3] = m[:, 2]
-        m[:, :, 3] = m[:, :, 2]
+        for half, sign in enumerate((-0.7, 0.7)):
+            m[half, 2] = sign * m[half, 0]
+            m[half, :, 2] = sign * m[half, :, 0]
 
     return _edited_moments(keys, edit)
 
@@ -558,29 +596,44 @@ def experiment_case(nsim):
 
 
 def redrawn_case(breaker, space, config, genes, seed, rows=(3, 17, 40)):
-    """The Gram kernel broken at the given replications of one point, and
-    that point's estimate when each of them is replaced by attempt 1 on its
-    own streams."""
-    c = Chromosome(genes)
-    point = oracle_mod._points([c], space, config)
-    moments = oracle_mod._draw_moments([streams((seed, *genes))], config.nsim, point)
-    reject, degenerate = oracle_mod._rejections(oracle_mod._gram(moments, point), point)
+    """The kernel broken at the given replications of one point, as the
+    seam's name and its wrapper, and that point's estimate when each of them
+    is replaced by attempt 1 on its own streams. The breaker wraps the seam
+    of the point's scheme, _draw_factors or _gram, and finds the rows by a
+    value drawn for them."""
+    point = oracle_mod._points([Chromosome(genes)], space, config)
+
+    def replications(key, nsim):
+        return oracle_mod._replications([streams(key)], nsim, point)
+
+    if config.scheme == "normal":
+        drawn = oracle_mod._draw_factors([streams((seed, *genes))], config.nsim, point)[1, 0, 0]
+    else:
+        drawn = oracle_mod._draw_moments([streams((seed, *genes))], config.nsim, point)[0, 0, 1, 0]
+    seam, broken = breaker(drawn[list(rows)])
+    reject, degenerate = replications((seed, *genes), config.nsim)
     assert not degenerate.any()
-    broken = breaker(moments[0, 0, 1, 0, list(rows)])
-    _, flagged = oracle_mod._rejections(broken(moments, point), point)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle_mod, seam, broken)
+        _, flagged = replications((seed, *genes), config.nsim)
     assert np.flatnonzero(flagged).tolist() == list(rows)
     for row in rows:
-        redrawn = oracle_mod._draw_moments([streams((seed, *genes, row, 1))], 1, point)
-        reject[0, row] = oracle_mod._rejections(oracle_mod._gram(redrawn, point), point)[0][0, 0]
-    return broken, np.count_nonzero(reject) / config.nsim
+        reject[0, row] = replications((seed, *genes, row, 1), 1)[0][0, 0]
+    return seam, broken, np.count_nonzero(reject) / config.nsim
 
 
 class TestDegenerateDraws:
     def test_degenerate_row_is_redrawn_from_its_own_stream(self, monkeypatch):
-        self._check_redrawn(_zero_regressors, desk_space(), t_config(50), (2, 5, 10), monkeypatch)
+        """A zero SSE."""
+        self._check_redrawn(_zero_sse, desk_space(), t_config(50), (2, 5, 10), monkeypatch)
+
+    @pytest.mark.parametrize("tested", [(1,), (1, 2)], ids=["t", "two-slope-f"])
+    def test_zero_tested_pivot_is_redrawn(self, tested, monkeypatch):
+        config = OracleConfig(50, 0.05, 2.5, TestSpec(tested, "t_single" if len(tested) == 1 else "f_joint"))
+        self._check_redrawn(_zero_tested_pivot, desk_space(), config, (3, 7, 12), monkeypatch)
 
     def test_duplicated_regressor_is_redrawn(self, monkeypatch):
-        self._check_redrawn(_duplicate_regressor, desk_space(), t_config(50), (2, 5, 10), monkeypatch)
+        self._check_redrawn(_measure_times_condition, *experiment_case(50), monkeypatch)
 
     def test_constant_measure_is_redrawn(self, monkeypatch):
         self._check_redrawn(_constant_measure, *experiment_case(50), monkeypatch)
@@ -588,32 +641,32 @@ class TestDegenerateDraws:
     @staticmethod
     def _check_redrawn(breaker, space, config, genes, monkeypatch):
         seed, c = 4, Chromosome(genes)
-        broken, expected = redrawn_case(breaker, space, config, genes, seed)
-        monkeypatch.setattr(oracle_mod, "_gram", broken)
+        seam, broken, expected = redrawn_case(breaker, space, config, genes, seed)
+        monkeypatch.setattr(oracle_mod, seam, broken)
         assert estimate_power(c, space, config, seed) == expected
         monkeypatch.setattr(oracle_mod, "_BLOCK_ROWS", 1)
         assert estimate_power(c, space, config, seed) == expected
 
-    @pytest.mark.parametrize("block_rows", [7, oracle_mod._BLOCK_ROWS])
+    @pytest.mark.parametrize("block_rows", [1, 7, oracle_mod._BLOCK_ROWS])
     def test_degenerate_row_of_a_later_point_is_redrawn_from_its_stream(self, block_rows, monkeypatch):
         """The second point of a batch: its forced rows are redrawn from its
         own keys, and the points around it keep their values."""
         space, config, seed = desk_space(), t_config(50), 4
         batch = [Chromosome(g) for g in ((0, 3, 20), (2, 5, 10), (4, 12, 30))]
         alone = [estimate_power(c, space, config, seed) for c in batch]
-        broken, expected = redrawn_case(_zero_regressors, space, config, batch[1].genes, seed)
-        monkeypatch.setattr(oracle_mod, "_gram", broken)
+        seam, broken, expected = redrawn_case(_zero_sse, space, config, batch[1].genes, seed)
+        monkeypatch.setattr(oracle_mod, seam, broken)
         monkeypatch.setattr(oracle_mod, "_BLOCK_ROWS", block_rows)
         with PowerOracle(space, config, seed) as oracle:
             assert oracle.evaluate_many(batch) == [alone[0], expected, alone[2]]
 
     def test_always_degenerate_raises(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "_gram", _zero_regressors(None))
+        monkeypatch.setattr(oracle_mod, *_zero_sse(None))
         with pytest.raises(OracleError, match="degenerate"):
             estimate_power(Chromosome((0, 0, 0)), desk_space(), t_config(20), 1)
 
     def test_always_degenerate_experiment_raises(self, monkeypatch):
-        monkeypatch.setattr(oracle_mod, "_gram", _constant_measure(None))
+        monkeypatch.setattr(oracle_mod, *_constant_measure(None))
         space, config, genes = experiment_case(20)
         with pytest.raises(OracleError, match="degenerate"):
             estimate_power(Chromosome(genes), space, config, 1)
