@@ -318,6 +318,8 @@ def _floats(rows: list, key: str, width: int = 0) -> np.ndarray:
 
 
 def _too_large(row) -> bool:
+    """Whether row, a number or a list of numbers, holds an integer too large
+    for a float."""
     try:
         np.array(row, dtype=float)
     except OverflowError:
