@@ -87,6 +87,8 @@ def load_run_config(path, overrides: dict[str, Any] | None = None) -> RunConfig:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     for name, value in (overrides or {}).items() if isinstance(data, dict) else ():
         section_name, _, key = name.rpartition(".")
         target = data.setdefault(section_name, {}) if section_name else data

@@ -205,12 +205,7 @@ def _resolve_fitness(
     Unseen chromosomes are deduplicated before querying, so a key can never
     reach the oracle twice.
     """
-    pending: list[Chromosome] = []
-    queued: set[Chromosome] = set()
-    for c in population:
-        if c not in dictionary and c not in queued:
-            queued.add(c)
-            pending.append(c)
+    pending = list(dict.fromkeys(c for c in population if c not in dictionary))
     for c, value in zip(pending, oracle.evaluate_many(pending)):
         dictionary.insert(c, value)
     if len(dictionary) != oracle.total_queries:

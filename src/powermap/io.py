@@ -334,31 +334,34 @@ def load_queries_csv(path, space: SearchSpace) -> tuple[list[str], list[tuple[fl
     are reported with their line number (header is line 1).
     """
     expected = dictionary_csv_header(space)[:-1]  # no power column
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file, expected header {expected}") from None
-        if [h.strip() for h in header[: len(expected)]] != expected:
-            raise FormatError(
-                f"{path}: header {header} does not start with expected columns {expected}"
-            )
-        points: list[tuple[float, ...]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < len(expected):
-                raise FormatError(
-                    f"{path}: line {line_no}: expected {len(expected)} values, got {len(row)}"
-                )
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                point = tuple(float(v) for v in row[: len(expected)])
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {line_no}: {exc}") from None
-            if not all(math.isfinite(v) for v in point):
-                raise FormatError(f"{path}: line {line_no}: values must be finite, got {point}")
-            points.append(point)
+                header = next(reader)
+            except StopIteration:
+                raise FormatError(f"{path}: empty file, expected header {expected}") from None
+            if [h.strip() for h in header[: len(expected)]] != expected:
+                raise FormatError(
+                    f"{path}: header {header} does not start with expected columns {expected}"
+                )
+            points: list[tuple[float, ...]] = []
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) < len(expected):
+                    raise FormatError(
+                        f"{path}: line {line_no}: expected {len(expected)} values, got {len(row)}"
+                    )
+                try:
+                    point = tuple(float(v) for v in row[: len(expected)])
+                except ValueError as exc:
+                    raise FormatError(f"{path}: line {line_no}: {exc}") from None
+                if not all(math.isfinite(v) for v in point):
+                    raise FormatError(f"{path}: line {line_no}: values must be finite, got {point}")
+                points.append(point)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return header, points
 
 

@@ -38,15 +38,20 @@ s B[k, t] + sum_{t <= i < k} beta_i B[i, t], and SSE = (s B[k, k])^2.
 
 The experiment scheme's design is a fixed linear map of two groups, the
 x1 = -1 half (n // 2 rows) and the x1 = +1 half, each of q = 2 variables
-(e, x2), so it keeps the Gram. Per half A has A_ii only for i < m-1 and A_ij
-only for j < min(i, m-1), which covers n = 5 (m-1 = 1 < q, W singular), and
-with z = sqrt(m) u the moments [[m, z^T], [z, W + z z^T / m]] of (1, e, x2)
-are D D^T for D = [[0, sqrt(m)], [A, u]]. The Gram is read off the sum and
+(e, x2), so it keeps the Gram. With z = sqrt(m) u, a half's moments
+[[m, z^T], [z, W + z z^T / m]] of (1, e, x2) are D D^T for
+D = [[0, 0, sqrt(m)], [a, 0, u0], [b, c, u1]], where [[a, 0], [b, c]] is
+W's Bartlett factor. At n = 5 the x1 = -1 half has m - 1 = 1 < q (W
+singular), and c^2 ~ chi2(0) is an exact 0. The Gram is read off the sum and
 the difference of the halves' moments (x1**2 = 1) and factored by one
-Cholesky loop over its p+2 columns, each step vectorised over the block. It
-holds the noise, not y, so its conditioning depends on the design alone.
-Under both schemes the estimand, random-design power, is that of drawn rows
-exactly, at O(p^2) draws per replication however large n is.
+Cholesky loop over its p+2 columns, each step vectorised over the block; its
+tested rows and the e pivot, transposed, are the block B above. It holds the
+noise, not y, so its conditioning depends on the design alone.
+
+So both schemes share one draw routine, a point's chi-square roots and
+standard normals per replication, and one reading of F off B. Under both the
+estimand, random-design power, is that of drawn rows exactly, at O(p^2)
+draws per replication however large n is.
 """
 
 from __future__ import annotations
@@ -146,6 +151,8 @@ class _Points:
     sigma: float  # noise standard deviation, sqrt(sigma2)
     beta: np.ndarray  # (p, points, 1): slopes in column order
     groups: np.ndarray  # (groups, points, 1): rows per group, (n,) or the x1 = -1 and +1 halves
+    shapes: np.ndarray  # (points, draws): shapes df / 2 of a replication's chi-squares
+    normals: int  # standard normals per replication
     tolerance: np.ndarray  # (points, 1): _PIVOT_TOL + (n + p + 2) * eps, experiment only
     df: np.ndarray  # (points, 1): residual degrees of freedom n - p - 1, as floats
     threshold: np.ndarray  # (points, 1): tested * F_{1-alpha}(tested, df)
@@ -154,7 +161,7 @@ class _Points:
         """The points at a slice of their indices."""
         return _Points(
             self.scheme, self.order, self.tested, self.sigma,
-            self.beta[:, at], self.groups[:, at],
+            self.beta[:, at], self.groups[:, at], self.shapes[at], self.normals,
             self.tolerance[at], self.df[at], self.threshold[at],
         )
 
@@ -200,43 +207,26 @@ def _points(chromosomes: Sequence[Chromosome], space: SearchSpace, config: Oracl
         ]
     ).T[:, :, None]
     n = np.array(sizes)[:, None]
+    if config.scheme == "normal":
+        # B's diagonal, chi2(n-1-i) for i = p-k, ..., p, and its lower triangle
+        groups, dfs, normals = n[None], n - 1 - np.arange(p - k, p + 1), k * (k + 1) // 2
+    else:
+        # per half of m rows, a^2 ~ chi2(m-1) and c^2 ~ chi2(m-2), then u0, u1 and b
+        groups = (n + [[[0]], [[1]]]) // 2
+        dfs, normals = np.concatenate([m - [1, 2] for m in groups], axis=1), 6
     return _Points(
         scheme=config.scheme,
         order=tuple(order),
         tested=k,
         sigma=float(np.sqrt(config.sigma2)),
         beta=values.T[order, :, None],
-        groups=n[None] if config.scheme == "normal" else (n + [[[0]], [[1]]]) // 2,
+        groups=groups,
+        shapes=dfs / 2,
+        normals=normals,
         tolerance=tolerance,
         df=df,
         threshold=threshold,
     )
-
-
-@lru_cache(maxsize=1024)
-def _bartlett(groups: tuple[int, ...], q: int) -> tuple[np.ndarray, ...]:
-    """Layout of one experiment replication's moment factors
-    D = [[0, sqrt(m)], [A, u]], one (q+1) x (q+1) matrix per group of m rows
-    (q = 2 variables, e and x2, per half), flattened in group order;
-    group g's sqrt(m) sits at g * (q+1)**2 + q.
-
-    Returns the flat positions of the standard normals (per group: u, then A
-    below its diagonal, row by row), the flat positions of the chi-square
-    roots (per group: A's diagonal), and the chi-squares' degrees of freedom
-    m-1, m-2, ...
-    """
-    size = (q + 1) ** 2
-    normals, roots, dfs = [], [], []
-    for g, m in enumerate(groups):
-        at = g * size + q + 1  # D[1, 0], where A starts
-        normals += [at + i * (q + 1) + q for i in range(q)]
-        normals += [at + i * (q + 1) + j for i in range(q) for j in range(min(i, m - 1))]
-        roots += [at + i * (q + 2) for i in range(min(q, m - 1))]
-        dfs += [m - 1 - i for i in range(min(q, m - 1))]
-    layout = (np.array(normals), np.array(roots), np.array(dfs, dtype=float))
-    for array in layout:
-        array.flags.writeable = False  # shared by every caller through the cache
-    return layout
 
 
 def _streams(key: tuple[int, ...]) -> tuple[np.random.Generator, np.random.Generator]:
@@ -254,32 +244,45 @@ def _streams(key: tuple[int, ...]) -> tuple[np.random.Generator, np.random.Gener
 _tril_indices = lru_cache(maxsize=None)(np.tril_indices)
 
 
+def _draw(
+    streams: Sequence[tuple[np.random.Generator, ...]], rows: int, points: _Points
+) -> tuple[np.ndarray, np.ndarray]:
+    """The chi-square roots and the standard normals of the next rows
+    replications of each point's generators, as (draws, points, rows) arrays.
+
+    A root is sqrt(2 standard_gamma(df / 2)), the bits of
+    sqrt(chisquare(df)); a zero shape gives an exact 0 and reads no bits.
+    """
+    roots = np.empty((len(streams), rows, points.shapes.shape[-1]))
+    normals = np.empty((len(streams), rows, points.normals))
+    for j, (normal, chi) in enumerate(streams):
+        chi.standard_gamma(points.shapes[j], out=roots[j])
+        normal.standard_normal(out=normals[j])
+    roots *= 2.0
+    np.sqrt(roots, out=roots)
+    return roots.transpose(2, 0, 1), normals.transpose(2, 0, 1)
+
+
 def _draw_factors(
     streams: Sequence[tuple[np.random.Generator, ...]], rows: int, points: _Points
 ) -> np.ndarray:
     """Normal scheme: the tested blocks B, (k+1, k+1, points, rows), of the
-    next rows replications of each point's generators. Per replication the
-    chi-square generator gives B's squared diagonal, with n-1-(p-k), ...,
-    n-1-p degrees of freedom, and the normal generator its strictly lower
-    triangle in np.tril_indices order."""
-    k, p = points.tested, len(points.beta)
-    dfs = points.groups[0] - 1 - np.arange(p - k, p + 1)
-    lower = _tril_indices(k + 1, -1)
-    chi2 = np.empty((len(streams), rows, k + 1))
-    normals = np.empty((len(streams), rows, len(lower[0])))
-    for j, (normal, chi) in enumerate(streams):
-        chi2[j] = chi.chisquare(dfs[j], (rows, k + 1))
-        normals[j] = normal.standard_normal((rows, len(lower[0])))
+    next rows replications: the chi-square roots, with n-1-(p-k), ..., n-1-p
+    degrees of freedom, on B's diagonal, and the normals in its strictly
+    lower triangle in np.tril_indices order."""
+    k = points.tested
+    roots, normals = _draw(streams, rows, points)
     factor = np.zeros((k + 1, k + 1, len(streams), rows))
-    factor[np.diag_indices(k + 1)] = np.sqrt(chi2).transpose(2, 0, 1)
-    factor[lower] = normals.transpose(2, 0, 1)
+    factor[np.diag_indices(k + 1)] = roots
+    factor[_tril_indices(k + 1, -1)] = normals
     return factor
 
 
 def _factor_rejections(factor: np.ndarray, points: _Points) -> tuple[np.ndarray, np.ndarray]:
-    """Normal scheme: rejection indicators for a (k+1, k+1, points, rows)
-    block of tested blocks B, and a mask of the replications whose fit is
-    degenerate: a zero pivot or a zero SSE."""
+    """Rejection indicators for a (k+1, k+1, points, rows) block of tested
+    blocks B, drawn or read off a factored Gram, and a mask of the
+    replications whose fit is degenerate: a zero pivot or a zero SSE. Only
+    B's lower triangle is read."""
     k, beta = points.tested, points.beta[-points.tested :]
     # Tested rows of y's column of R, s B[k, t] + b_t B[t, t] + ... + b_{k-1} B[k-1, t].
     rise = np.zeros(factor.shape[2:])
@@ -290,33 +293,33 @@ def _factor_rejections(factor: np.ndarray, points: _Points) -> tuple[np.ndarray,
         rise += y * y
     sse = points.sigma**2 * factor[k, k] ** 2
     degenerate = (sse <= 0.0) | (np.diagonal(factor) == 0.0).any(axis=-1)
+    # F = (rise / tested) / (sse / df) > critical, kept free of division so
+    # that a zero SSE needs no special case.
     return rise * points.df > points.threshold * sse, degenerate
 
 
 def _draw_moments(
     streams: Sequence[tuple[np.random.Generator, ...]], rows: int, points: _Points
 ) -> np.ndarray:
-    """Experiment scheme: the moment matrices of a block of replications,
-    (2, 3, 3, points, rows), one per half over (1, e, x2): the next rows
-    replications of each point's generators."""
-    q, size = 2, 9
-    factor = np.zeros((len(points.groups) * size, len(streams), rows))
-    factor[q::size] = np.sqrt(points.groups)
-    for k, (normal, chi) in enumerate(streams):
-        normals, roots, dfs = _bartlett(tuple(points.groups[:, k, 0].tolist()), q)
-        factor[normals, k] = normal.standard_normal((rows, len(normals))).T
-        factor[roots, k] = np.sqrt(chi.chisquare(dfs, (rows, len(dfs)))).T
-    factor = factor.reshape(len(points.groups), q + 1, q + 1, len(streams), rows)
-    # D D^T as a sum of the outer products of D's columns, in column order,
-    # each elementwise per replication, so that a replication's moments do not
-    # depend on how many share the block. Column k < q is A's column k, zero
-    # above row k+1 (row 0 of D is (0, ..., 0, sqrt(m)) and A is lower
-    # triangular), so its product is added to the block below and right of
-    # (k+1, k+1) only: the terms left out are exact zeros.
-    moments = np.zeros((len(points.groups), q + 1, q + 1, len(streams), rows))
-    for k in range(q):
-        moments[:, k + 1 :, k + 1 :] += factor[:, k + 1 :, None, k] * factor[:, None, k + 1 :, k]
-    moments += factor[:, :, None, q] * factor[:, None, :, q]
+    """Experiment scheme: the moment matrices of the next rows replications,
+    (2, 3, 3, points, rows), one per half over (1, e, x2), the x1 = -1 half
+    first.
+
+    A half of m rows is D D^T for D = [[0, 0, sqrt(m)], [a, 0, u0],
+    [b, c, u1]], with a and c its chi-square roots and u0, u1 and b its
+    normals, summed over D's columns in order.
+    """
+    roots, normals = _draw(streams, rows, points)
+    moments = np.empty((2, 3, 3, len(streams), rows))
+    for half, root in enumerate(np.sqrt(points.groups)):
+        (a, c), (u0, u1, b) = roots[2 * half : 2 * half + 2], normals[3 * half : 3 * half + 3]
+        moment = moments[half]
+        moment[0, 0] = root * root
+        moment[0, 1] = moment[1, 0] = root * u0
+        moment[0, 2] = moment[2, 0] = root * u1
+        moment[1, 1] = a * a + u0 * u0
+        moment[1, 2] = moment[2, 1] = a * b + u0 * u1
+        moment[2, 2] = b * b + c * c + u1 * u1
     return moments
 
 
@@ -358,40 +361,31 @@ def _gram(moments: np.ndarray, points: _Points) -> np.ndarray:
     return summed.reshape(-1, *moments.shape[-2:])[_gram_index(points.order)]
 
 
-def _rejections(gram: np.ndarray, points: _Points) -> tuple[np.ndarray, np.ndarray]:
-    """Experiment scheme: rejection indicators for a (p+2, p+2, points, rows)
-    block of Gram matrices, and a mask of the replications whose fit is
-    degenerate: a slope column within _PIVOT_TOL of the span of the columns
-    before it, or a zero SSE.
+def _experiment_factors(gram: np.ndarray, points: _Points) -> tuple[np.ndarray, np.ndarray]:
+    """Experiment scheme: the tested blocks B of a (p+2, p+2, points, rows)
+    block of Gram matrices, in _draw_factors' layout, and a mask of the
+    replications whose design is nearly collinear: a slope column within
+    _PIVOT_TOL of the span of the columns before it.
 
     Factors the block in place, right-looking: step j leaves row j of the
     Cholesky factor R in gram[j, j:] and the Schur complement in
-    gram[j+1:, j+1:].
+    gram[j+1:, j+1:]. The last pivot, e's, gets its root too (0 where
+    rounding left it negative, a zero SSE), and B is R's bottom-right
+    (k+1) x (k+1) block transposed, a view of gram.
     """
-    size, p = len(gram), len(points.beta)
+    size = len(gram)
     limit = points.tolerance[..., None] * np.diagonal(gram)
-    degenerate = np.zeros(gram.shape[2:], dtype=bool)
+    collinear = np.zeros(gram.shape[2:], dtype=bool)
     for j in range(size - 1):
         bad = gram[j, j] <= limit[..., j]
-        degenerate |= bad
-        # A degenerate row is redrawn; any positive pivot keeps it finite.
+        collinear |= bad
+        # A collinear row is redrawn; any positive pivot keeps it finite.
         gram[j, j] = np.sqrt(np.where(bad, 1.0, gram[j, j]))
         gram[j, j + 1 :] /= gram[j, j]
         gram[j + 1 :, j + 1 :] -= gram[j, j + 1 :, None] * gram[j, None, j + 1 :]
-    degenerate |= gram[-1, -1] <= 0.0
-    sse = points.sigma**2 * gram[-1, -1]
-    # Tested rows of y's column of R: R[t, t:p+1] @ b[t:] + s R[t, e], with
-    # b = (0, slopes in column order), summed term by term in that order.
-    rise = np.zeros(degenerate.shape)
-    for t in range(p + 1 - points.tested, p + 1):
-        y = points.beta[t - 1] * gram[t, t]
-        for k in range(t + 1, p + 1):
-            y += points.beta[k - 1] * gram[t, k]
-        y += points.sigma * gram[t, -1]
-        rise += y * y
-    # F = (rise / tested) / (sse / df) > critical, kept free of division so
-    # that a zero SSE needs no special case.
-    return rise * points.df > points.threshold * sse, degenerate
+    gram[-1, -1] = np.sqrt(np.maximum(gram[-1, -1], 0.0))
+    tested = size - 1 - points.tested
+    return gram[tested:, tested:].swapaxes(0, 1), collinear
 
 
 def _replications(
@@ -400,7 +394,9 @@ def _replications(
     """Rejection indicators and degenerate mask, (points, rows), of the next rows replications."""
     if points.scheme == "normal":
         return _factor_rejections(_draw_factors(streams, rows, points), points)
-    return _rejections(_gram(_draw_moments(streams, rows, points), points), points)
+    factor, collinear = _experiment_factors(_gram(_draw_moments(streams, rows, points), points), points)
+    reject, degenerate = _factor_rejections(factor, points)
+    return reject, degenerate | collinear
 
 
 def estimate_many(

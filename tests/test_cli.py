@@ -90,6 +90,13 @@ class TestLearn:
         assert main(["learn", "-c", str(bad)]) == 2
         assert "JSON" in capsys.readouterr().err
 
+    def test_config_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff{}")
+        assert main(["learn", "-c", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: 'utf-8' codec" in err
+
     @pytest.mark.parametrize("named", ["top level", "oracle"])
     def test_flags_onto_malformed_config_exit_2(self, tmp_path, capsys, named):
         config = write_config(tmp_path, oracle="fast")
@@ -258,6 +265,17 @@ class TestPredict:
         ]) == 2
         err = capsys.readouterr().err
         assert "line 3" in err and "finite" in err
+        assert not out.exists()
+
+    def test_queries_not_utf8_exit_2_naming_it(self, tmp_path, brute_export, capsys):
+        queries = tmp_path / "q.csv"
+        queries.write_bytes(b"theta_1,n\n0.3,40\n\xff,40\n")
+        out = tmp_path / "pred.csv"
+        assert main([
+            "predict", "--dictionary", str(brute_export),
+            "--queries", str(queries), "--out", str(out),
+        ]) == 2
+        assert f"{queries}: 'utf-8' codec" in capsys.readouterr().err
         assert not out.exists()
 
     def test_k_below_one_exits_2_without_queries(self, tmp_path, brute_export, capsys):

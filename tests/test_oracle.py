@@ -333,11 +333,11 @@ class TestBatchedKernel:
                 samples.append(row_moments(X, noise, point.groups[:, 0, 0]))
             expected.append(scalar_reject(X, y, config))
         block = np.stack(samples, axis=-1)[..., None, :]
-        if config.scheme == "normal":
-            reject, degenerate = oracle_mod._factor_rejections(block, point)
-        else:
-            reject, degenerate = oracle_mod._rejections(oracle_mod._gram(block, point), point)
-        assert not degenerate.any()
+        collinear = False
+        if config.scheme == "experiment":
+            block, collinear = oracle_mod._experiment_factors(oracle_mod._gram(block, point), point)
+        reject, degenerate = oracle_mod._factor_rejections(block, point)
+        assert not (degenerate | collinear).any()
         assert reject[0].tolist() == expected
 
     @pytest.mark.parametrize("space, config, genes", KERNEL_CASES)
@@ -368,6 +368,23 @@ class TestStreams:
             assert built.chisquare(dfs, (8, 3)).tolist() == spawned.chisquare(dfs, (8, 3)).tolist()
 
 
+class TestChiSquareDraw:
+    """The identity the oracle's one draw routine rests on."""
+
+    @pytest.mark.parametrize("df", [1, 2, 47, 497])
+    def test_twice_a_gamma_is_the_chi_square(self, df):
+        gamma, chi = np.random.default_rng(df), np.random.default_rng(df)
+        assert (2.0 * gamma.standard_gamma(df / 2, (16, 3))).tolist() == chi.chisquare(df, (16, 3)).tolist()
+
+    def test_zero_shape_is_zero_and_reads_no_bits(self):
+        mixed, plain = np.random.default_rng(5), np.random.default_rng(5)
+        draws = mixed.standard_gamma([0.5, 0.0, 1.5], (4, 3))
+        assert draws[:, 1].tolist() == [0.0] * 4
+        assert draws[:, [0, 2]].tolist() == plain.standard_gamma([0.5, 1.5], (4, 2)).tolist()
+        assert mixed.standard_gamma(0.0) == 0.0
+        assert mixed.standard_normal(8).tolist() == plain.standard_normal(8).tolist()
+
+
 def small_n_space():
     """The interaction grid at n = 5, where the x1 = -1 half has two rows
     and a singular Wishart, and at n = 50."""
@@ -381,10 +398,25 @@ def small_n_space():
     )
 
 
+def few_rows_space():
+    """The interaction model at n = 5, 6, 7 and 50 (sample-size genes 0, 1,
+    2 and 45): at n = 5 the x1 = -1 half has two rows, at odd n it is one
+    row shorter than the x1 = +1 half."""
+    return SearchSpace(
+        coefficient_ranges=(
+            ParameterRange(0.2, 0.6, 0.4),
+            ParameterRange(0.3, 0.6, 0.3),
+            ParameterRange(0.1, 0.5, 0.2),
+        ),
+        sample_size_range=ParameterRange(5, 50, 1),
+    )
+
+
 # Mixed batches, each value the one estimate_power gives for its point alone
 # (master seed 9): under the normal scheme since it draws the tested block of
 # the factor, under the experiment scheme since before evaluate_many batched
-# its points.
+# its points (slope 3) or before the schemes shared one draw routine (the
+# other tests).
 BATCHES = [
     pytest.param(
         desk_space(), t_config(200),
@@ -400,6 +432,26 @@ BATCHES = [
         small_n_space(), OracleConfig(200, 0.05, 1.0, TestSpec((3,), "f_joint"), "experiment"),
         {(0, 0, 0, 0): 0.03, (0, 0, 2, 0): 0.065, (0, 0, 1, 1): 0.48, (0, 0, 2, 1): 0.91},
         id="experiment-n5-n50",
+    ),
+    pytest.param(
+        few_rows_space(), OracleConfig(200, 0.05, 1.0, TestSpec((1,), "t_single"), "experiment"),
+        {(1, 0, 2, 0): 0.05, (0, 1, 1, 1): 0.055, (1, 1, 0, 2): 0.115, (0, 0, 1, 45): 0.295, (1, 1, 2, 45): 1.0},
+        id="experiment-slope-1",
+    ),
+    pytest.param(
+        few_rows_space(), OracleConfig(200, 0.05, 1.3, TestSpec((2,), "t_single"), "experiment"),
+        {(1, 0, 2, 0): 0.035, (0, 1, 1, 1): 0.095, (1, 1, 0, 2): 0.115, (0, 0, 1, 45): 0.415, (1, 1, 2, 45): 0.94},
+        id="experiment-slope-2",
+    ),
+    pytest.param(
+        few_rows_space(), OracleConfig(200, 0.05, 1.0, TestSpec((2, 3), "f_joint"), "experiment"),
+        {(1, 0, 2, 0): 0.04, (0, 1, 1, 1): 0.105, (1, 1, 0, 2): 0.11, (0, 0, 1, 45): 0.71, (1, 1, 2, 45): 0.99},
+        id="experiment-slopes-2-3",
+    ),
+    pytest.param(
+        few_rows_space(), OracleConfig(200, 0.05, 1.0, TestSpec((1, 2, 3), "f_joint"), "experiment"),
+        {(1, 0, 2, 0): 0.04, (0, 1, 1, 1): 0.1, (1, 1, 0, 2): 0.16, (0, 0, 1, 45): 0.765, (1, 1, 2, 45): 1.0},
+        id="experiment-all-slopes",
     ),
 ]
 
