@@ -29,6 +29,8 @@ Layers:
   knn.interaction_predict_ms      one predict of 1,000 off-grid points over
                                   6,000 entries of the 59,150-point
                                   interaction grid
+                                  (each predict builds its index's entry
+                                  groups, as each command's one predict does)
   io.export_ms, io.load_ms        JSON + CSV export, then JSON load (the
                                   loader the CLI calls), of a 2,015-entry
                                   desk dictionary

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from powermap import GaConfig, brute_force_manifold, evaluate, run
+from powermap import GaConfig, brute_force_manifold, run, score
 from powermap.config import load_run_config
 from powermap.evaluate import SweepRow, write_sweep_csv
 
@@ -50,6 +50,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     brute = brute_force_manifold(space, oracle, oracle_seed, worker_count=workers)
     print(f"  done in {time.perf_counter() - started:.1f} s", file=sys.stderr)
+    reference = brute.arrays()
 
     rows = []
     for population_size in args.populations:
@@ -59,7 +60,9 @@ def main(argv=None) -> int:
                 settings = dict(population_size=population_size, iterations=iterations, master_seed=seed)
                 ga = replace(config.ga, **settings) if config.ga else GaConfig(**settings)
                 report = run(space, oracle, ga, oracle_seed=oracle_seed, worker_count=workers)
-                cell.append(evaluate(report, brute, space, config.predictor.k))
+                cell.append(
+                    score(report.dictionary.arrays(), reference, space, config.predictor, report.oracle_queries)
+                )
             elapsed_ms = (time.perf_counter() - cell_started) * 1000 / len(args.seeds)
             rows.append(
                 SweepRow(

@@ -3,8 +3,9 @@ reader (errors name the field path), plus the resolved-values dictionary
 that run outputs embed so every artifact is self-describing.
 
 Each section is read through its dataclass, whose field defaults are the
-only copy of that section's defaults; anything a config file sets explicitly
-wins, and overrides (the CLI flags) win over the file.
+only copy of that section's defaults, with one exception: the oracle's nsim,
+alpha and sigma2 defaults live in _ORACLE_DEFAULTS. Anything a config file
+sets explicitly wins, and overrides (the CLI flags) win over the file.
 """
 
 from __future__ import annotations
@@ -53,10 +54,21 @@ def build_run_config(data: dict[str, Any]) -> RunConfig:
     space = space_from_dict(section(data, "", "search_space"))
     oracle = section(data, "", "oracle")
     test = read(TestSpec, section(oracle, "oracle", "test"), "oracle.test")
-    if max(test.tested_indices) > space.n_coefficients:
+    p = space.n_coefficients
+    if max(test.tested_indices) > p:
         raise FormatError(
             f"oracle.test.tested_indices: index {max(test.tested_indices)} "
-            f"exceeds the {space.n_coefficients} coefficients in search_space"
+            f"exceeds the {p} coefficients in search_space"
+        )
+    oracle = read(OracleConfig, oracle, "oracle", _ORACLE_DEFAULTS, test=test)
+    if oracle.scheme == "experiment" and p != 3:
+        raise FormatError(f"oracle.scheme: the experiment scheme requires exactly 3 coefficients, got {p}")
+    # Checked here, not in SearchSpace: a dictionary export of such a space
+    # still loads for predict, which fits nothing.
+    if space.sample_size_range.lower < p + 2:
+        raise FormatError(
+            f"search_space.sample_size.lower: sample size {space.sample_size_range.lower:g} "
+            f"cannot fit {p} slopes plus intercept (needs >= {p + 2})"
         )
     master_seed = field(data, "", "master_seed", int, 0)
     oracle_seed = field(data, "", "oracle_seed", int, None)
@@ -69,7 +81,7 @@ def build_run_config(data: dict[str, Any]) -> RunConfig:
     ga = section(data, "", "ga", required=False)
     return RunConfig(
         space=space,
-        oracle=read(OracleConfig, oracle, "oracle", _ORACLE_DEFAULTS, test=test),
+        oracle=oracle,
         ga=None if ga is None else read(GaConfig, ga, "ga", master_seed=master_seed),
         predictor=read(PredictorConfig, section(data, "", "predictor", required=False) or {}, "predictor"),
         master_seed=master_seed,

@@ -42,52 +42,25 @@ class GaConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
-class PowerDictionary:
-    """Insert-only map from chromosome to estimated power.
+class PowerDictionary(dict[Chromosome, float]):
+    """Insert-only map from chromosome to estimated power: a dict whose
+    entries are added through insert.
 
     Values are never overwritten: the oracle is deterministic per chromosome,
     so a second insert for the same key indicates a memoization bug.
     """
 
-    def __init__(self) -> None:
-        self._entries: dict[Chromosome, float] = {}
-
     def insert(self, chromosome: Chromosome, power: float) -> None:
-        if chromosome in self._entries:
+        if chromosome in self:
             raise ValueError(f"duplicate insert for {chromosome.genes}")
         if not 0.0 <= power <= 1.0:
             raise ValueError(f"power {power} outside [0, 1]")
-        self._entries[chromosome] = power
-
-    def __contains__(self, chromosome: Chromosome) -> bool:
-        return chromosome in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __getitem__(self, chromosome: Chromosome) -> float:
-        return self._entries[chromosome]
-
-    def get(self, chromosome: Chromosome, default: float | None = None):
-        return self._entries.get(chromosome, default)
-
-    def items(self):
-        return self._entries.items()
-
-    def keys(self):
-        return self._entries.keys()
-
-    def values(self):
-        return self._entries.values()
-
-    def sorted_items(self) -> list[tuple[Chromosome, float]]:
-        """Entries in lexicographic gene order (a canonical export order)."""
-        return sorted(self._entries.items(), key=lambda kv: kv[0].genes)
+        self[chromosome] = power
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Genes, an (m, d) integer array, and powers, an (m,) array, in
-        lexicographic gene order."""
-        items = self.sorted_items()
+        lexicographic gene order (the canonical export order)."""
+        items = sorted(self.items(), key=lambda kv: kv[0].genes)
         return (
             np.array([c.genes for c, _ in items], dtype=np.intp),
             np.array([power for _, power in items], dtype=float),

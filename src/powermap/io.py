@@ -165,9 +165,8 @@ def export_dictionary_csv(path, dictionary: PowerDictionary, space: SearchSpace)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(dictionary_csv_header(space))
-        items = dictionary.sorted_items()
-        decoded = space.decode_many([chromosome.genes for chromosome, _ in items])
-        for values, (_, power) in zip(decoded, items):
+        genes, powers = dictionary.arrays()
+        for values, power in zip(space.decode_many(genes), powers):
             writer.writerow([f"{v:.6f}" for v in values] + [f"{power:.6f}"])
 
 
@@ -195,9 +194,9 @@ def export_dictionary_json(
     of each value (floats from decode_many), and the C encoder's token for
     the power.
     """
-    items = dictionary.sorted_items()
-    decoded = space.decode_many([chromosome.genes for chromosome, _ in items]).tolist()
-    powers = json.dumps([power for _, power in items])[1:-1].split(", ")
+    genes, powers = dictionary.arrays()
+    decoded = space.decode_many(genes).tolist()
+    tokens = json.dumps(powers.tolist())[1:-1].split(", ")
     head = json.dumps(
         {
             "schema_version": SCHEMA_VERSION,
@@ -209,13 +208,13 @@ def export_dictionary_json(
     )
     template = _entry_template(space.dimension)
     with open(path, "w") as fh:
-        if not items:
+        if powers.size == 0:
             fh.write(head + "\n")
             return
         fh.write(head[: -len("[]\n}")] + "[\n")  # head ends in '"entries": []\n}'
         separator = ""
-        for (chromosome, _), values, power in zip(items, decoded, powers):
-            fh.write(separator + template % (*chromosome.genes, *values, power))
+        for chromosome_genes, values, token in zip(genes.tolist(), decoded, tokens):
+            fh.write(separator + template % (*chromosome_genes, *values, token))
             separator = ",\n"
         fh.write("\n ]\n}\n")
 

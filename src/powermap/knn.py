@@ -139,7 +139,7 @@ class _Groups:
 
 
 class DictionaryIndex:
-    """Decoded dictionary entries as arrays, for repeated queries."""
+    """Decoded dictionary entries as arrays, for ranking query points."""
 
     def __init__(self, space: SearchSpace, genes, powers) -> None:
         """genes: (m, d) distinct grid points in gene order, as
@@ -151,7 +151,6 @@ class DictionaryIndex:
         self.genes = np.asarray(genes)
         self.powers = np.asarray(powers, dtype=float)
         self.columns = np.ascontiguousarray(space.decode_many(self.genes).T)
-        self._groups: dict[int, _Groups] = {}
 
     def __len__(self) -> int:
         return len(self.powers)
@@ -166,9 +165,7 @@ class DictionaryIndex:
         steps = np.array([r.step for r in self.space.ranges]) * scales
         finest = np.where(steps > 0, steps, np.inf)[::-1]
         free = len(finest) - 1 - int(np.argmin(finest))
-        if free not in self._groups:
-            self._groups[free] = _Groups(self.genes, self.columns, free)
-        return self._groups[free]
+        return _Groups(self.genes, self.columns, free)
 
     def _entries(
         self, groups: _Groups, block: np.ndarray, scales: np.ndarray, query: np.ndarray, group: np.ndarray

@@ -147,6 +147,29 @@ class TestLearn:
         assert not (tmp_path / "out").exists()
 
 
+class TestLoadTimeModelChecks:
+    """A config whose grid the model or scheme cannot fit exits 2 at load,
+    naming the field, before any oracle query or output."""
+
+    @pytest.mark.parametrize("command", ["learn", "brute-force"])
+    @pytest.mark.parametrize(
+        "named, section, value",
+        [
+            ("search_space.sample_size.lower", "search_space", {"sample_size": {"lower": 3, "upper": 200, "step": 5}}),
+            ("oracle.scheme", "oracle", {"scheme": "experiment"}),
+        ],
+    )
+    def test_exits_2_naming_field(self, tmp_path, capsys, command, named, section, value):
+        data = json.loads((CONFIGS / "desk.json").read_text())
+        data[section].update(value)
+        data["output"] = {"directory": str(tmp_path / "out"), "prefix": "run"}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        assert main([command, "-c", str(config)]) == 2
+        assert f"{named}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestResolvedConfig:
     def test_desk_export_metadata_frozen(self):
         # The config block every desk export embeds, key order included.

@@ -221,11 +221,13 @@ class TestPowerDictionary:
         with pytest.raises(ValueError):
             d.insert(Chromosome((0,)), 1.5)
 
-    def test_sorted_items(self):
+    def test_arrays_in_gene_order(self):
         d = PowerDictionary()
         d.insert(Chromosome((1, 0)), 0.2)
         d.insert(Chromosome((0, 1)), 0.4)
-        assert [c.genes for c, _ in d.sorted_items()] == [(0, 1), (1, 0)]
+        genes, powers = d.arrays()
+        assert genes.tolist() == [[0, 1], [1, 0]] and genes.dtype == np.intp
+        assert powers.tolist() == [0.4, 0.2]
 
 
 class _CountingOracle(PowerOracle):

@@ -140,7 +140,8 @@ class TestArrayLoader:
         assert np.array_equal(genes, want_genes) and np.array_equal(powers, want_powers)
         assert genes.dtype == np.intp and powers.dtype == float
         loaded, _, _ = load_dictionary_json(shuffled)
-        assert loaded.sorted_items() == d.sorted_items()
+        want = sorted(d.items(), key=lambda kv: kv[0].genes)
+        assert sorted(loaded.items(), key=lambda kv: kv[0].genes) == want
 
     def test_grid_beyond_int64_indices(self, tmp_path):
         """A grid of more than 2**63 points has no int64 flat index; its
@@ -176,7 +177,7 @@ DESK = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
 
 def json_dump_bytes(dictionary, space, metadata) -> bytes:
     """What json.dump(payload, fh, indent=1) and a newline write."""
-    items = dictionary.sorted_items()
+    items = sorted(dictionary.items(), key=lambda kv: kv[0].genes)
     decoded = space.decode_many([c.genes for c, _ in items]).tolist()
     payload = {
         "schema_version": 1,
