@@ -24,6 +24,8 @@ Layers:
   ga.bookkeeping_ms               ga.run on the desk config with the oracle's
                                   batch function, estimate_many, stubbed by a
                                   cheap monotone surface
+  ga.interaction_bookkeeping_ms   the same on the interaction config's GA
+                                  (population 1,000, 10 iterations)
   knn.index_build_ms,             one DictionaryIndex over 325 desk entries,
   knn.predict_ms                  then one predict of the 1,690 other points
   knn.interaction_predict_ms      one predict of 1,000 off-grid points over
@@ -152,26 +154,29 @@ def oracle_layers(repeats: int) -> dict:
 
 
 def ga_layer(repeats: int) -> dict:
-    """ga.run on the desk config with a stand-in oracle: power rising in the
-    tested slope and in n, like the real surface, at no simulation cost."""
-    desk = load_run_config(DESK)
-    counts = desk.space.grid_counts
-    scale = (counts[0] - 1) * (counts[-1] - 1)
-
-    def stub(chromosomes, space, config, master_seed):
-        return [c.genes[0] * c.genes[-1] / scale for c in chromosomes]
-
-    ga = GaConfig(population_size=200, iterations=30, master_seed=1)
+    """ga.run on the desk and interaction configs with a stand-in oracle:
+    power rising in the first slope and in n, like the real surface, at no
+    simulation cost."""
+    out = {}
     real = oracle_mod.estimate_many
-    oracle_mod.estimate_many = stub
     try:
-        seconds = median_time(lambda: run(desk.space, desk.oracle, ga, oracle_seed=2022), repeats)
+        for name, path in (("ga.bookkeeping_ms", DESK), ("ga.interaction_bookkeeping_ms", INTERACTION)):
+            loaded = load_run_config(path)
+            counts = loaded.space.grid_counts
+            scale = (counts[0] - 1) * (counts[-1] - 1)
+
+            def stub(chromosomes, space, config, master_seed, scale=scale):
+                return [c.genes[0] * c.genes[-1] / scale for c in chromosomes]
+
+            oracle_mod.estimate_many = stub
+            ga = GaConfig(loaded.ga.population_size, loaded.ga.iterations, master_seed=1)
+            seconds = median_time(lambda: run(loaded.space, loaded.oracle, ga, oracle_seed=2022), repeats)
+            out[name] = 1e3 * seconds
+            if path == DESK:
+                out["ga.bookkeeping_ms_per_generation"] = 1e3 * seconds / (ga.iterations + 1)
     finally:
         oracle_mod.estimate_many = real
-    return {
-        "ga.bookkeeping_ms": 1e3 * seconds,
-        "ga.bookkeeping_ms_per_generation": 1e3 * seconds / (ga.iterations + 1),
-    }
+    return out
 
 
 def synthetic_dictionary(space: SearchSpace, size: int) -> PowerDictionary:

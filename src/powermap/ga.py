@@ -1,16 +1,19 @@
 """Population search over the grid with memoized fitness.
 
-Each iteration evaluates the population (dictionary lookup first, oracle only
-for unseen points), then applies softmax selection, per-chromosome single-gene
-mutation, and a single-split crossover of the two fittest members. The
-insert-only chromosome-to-power dictionary accumulated along the way is the
-learned surface.
+The population is a list of gene tuples with a fitness array aligned to it.
+Each iteration evaluates only the members whose genes changed since their
+fitness was read (all of them at the start): each gets a Chromosome and a
+dictionary lookup, and unseen ones go to the oracle. Then come softmax
+selection, per-member single-gene mutation, and a single-split crossover of
+the two fittest members. The insert-only chromosome-to-power dictionary
+accumulated along the way is the learned surface.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -88,9 +91,12 @@ class GaReport:
 
 def initialize_population(
     space: SearchSpace, size: int, rng: np.random.Generator
-) -> list[Chromosome]:
-    """size independent uniform grid points (duplicates permitted)."""
-    return [space.random_chromosome(rng) for _ in range(size)]
+) -> list[tuple[int, ...]]:
+    """size independent uniform grid points (duplicates permitted), as gene
+    tuples; one draw with the values and stream state of size
+    random_chromosome calls."""
+    counts = space.grid_counts
+    return [tuple(g) for g in rng.integers(0, counts, size=(size, len(counts))).tolist()]
 
 
 def selection_probabilities(fitness, selection_lambda: float) -> np.ndarray:
@@ -102,92 +108,72 @@ def selection_probabilities(fitness, selection_lambda: float) -> np.ndarray:
 
 
 def reproduce(
-    population: list[Chromosome],
+    population: list[tuple[int, ...]],
     fitness,
     selection_lambda: float,
     rng: np.random.Generator,
-) -> list[Chromosome]:
-    """Resample the population with replacement, biased toward high fitness."""
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Resample the population with replacement, biased toward high fitness;
+    returns the picked members and their fitness."""
     if len(population) != len(fitness):
         raise ValueError("population and fitness lengths differ")
     probs = selection_probabilities(fitness, selection_lambda)
     picks = rng.choice(len(population), size=len(population), replace=True, p=probs)
-    return [population[i] for i in picks]
+    return [population[i] for i in picks], np.asarray(fitness, dtype=float)[picks]
 
 
 def mutate(
-    population: list[Chromosome],
+    population: list[tuple[int, ...]],
     mutation_prob: float,
     space: SearchSpace,
     rng: np.random.Generator,
-) -> list[Chromosome]:
-    """Each chromosome independently, with the given probability, has one
+) -> list[tuple[int, ...]]:
+    """Each member independently, with the given probability, has one
     uniformly chosen gene replaced by a uniform grid value of that dimension
     (which may equal the old value)."""
     counts = space.grid_counts
-    out = []
-    for c in population:
+    out = list(population)
+    for i, genes in enumerate(population):
         if rng.random() < mutation_prob:
             gene = int(rng.integers(0, len(counts)))
             value = int(rng.integers(0, counts[gene]))
-            genes = list(c.genes)
-            genes[gene] = value
-            out.append(Chromosome(tuple(genes)))
-        else:
-            out.append(c)
+            out[i] = genes[:gene] + (value,) + genes[gene + 1 :]
     return out
 
 
 def crossover_best_two(
-    population: list[Chromosome],
+    population: list[tuple[int, ...]],
     fitness,
     rng: np.random.Generator,
-) -> list[Chromosome]:
+) -> list[tuple[int, ...]]:
     """Split the two fittest members at a uniform interior index and swap
     tails; the two offspring replace the two least-fit members (for
     populations of four or more the parents survive).
 
-    Fitness ties are broken by gene order, lower key first.
+    Fitness ties are broken by gene order: the lower key ranks first, so
+    among equally least-fit members the higher key is replaced first.
     """
     n = len(population)
     if n != len(fitness):
         raise ValueError("population and fitness lengths differ")
     if n < 2:
         raise ValueError("crossover needs at least two members")
-    length = len(population[0].genes)
+    length = len(population[0])
     if length < 2:
         raise ValueError("crossover needs at least two genes")
-    order = sorted(range(n), key=lambda i: (-fitness[i], population[i].genes))
+    genes = np.fromiter(chain.from_iterable(population), np.intp, n * length).reshape(n, length)
+    order = np.lexsort((*genes.T[::-1], -np.asarray(fitness, dtype=float)))
     first, second = population[order[0]], population[order[1]]
     split = int(rng.integers(1, length))
-    child_a = Chromosome(first.genes[:split] + second.genes[split:])
-    child_b = Chromosome(second.genes[:split] + first.genes[split:])
     out = list(population)
-    out[order[-1]] = child_a
-    out[order[-2]] = child_b
+    out[order[-1]] = first[:split] + second[split:]
+    out[order[-2]] = second[:split] + first[split:]
     return out
 
 
-def _resolve_fitness(
-    population: list[Chromosome],
-    dictionary: PowerDictionary,
-    oracle: PowerOracle,
-) -> tuple[np.ndarray, int]:
-    """Fitness for every member: dictionary lookup, oracle for unseen keys.
-
-    Unseen chromosomes are deduplicated before querying, so a key can never
-    reach the oracle twice.
-    """
-    pending = list(dict.fromkeys(c for c in population if c not in dictionary))
-    for c, value in zip(pending, oracle.evaluate_many(pending)):
-        dictionary.insert(c, value)
-    if len(dictionary) != oracle.total_queries:
-        raise AssertionError(
-            f"memoization broken: {len(dictionary)} entries vs "
-            f"{oracle.total_queries} oracle queries"
-        )
-    fitness = np.array([dictionary[c] for c in population])
-    return fitness, len(pending)
+def _changed(before: list, after: list) -> list[int]:
+    """Rows whose genes differ."""
+    return [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
 
 
 def run(
@@ -214,27 +200,35 @@ def run(
         dictionary = PowerDictionary()
         telemetry: list[IterationStats] = []
         population = initialize_population(space, ga_config.population_size, rng)
+        fitness = np.empty(len(population))
+        rows = range(len(population))
         for iteration in range(1, ga_config.iterations + 2):
-            fitness, new_queries = _resolve_fitness(population, dictionary, oracle)
-            telemetry.append(
-                IterationStats(
-                    iteration=iteration,
-                    new_queries=new_queries,
-                    best_fitness=float(fitness.max()),
-                    mean_fitness=float(fitness.mean()),
+            # Unseen members reach the oracle once each, in first-occurrence order.
+            members = [Chromosome(population[i]) for i in rows]
+            pending = list(dict.fromkeys(c for c in members if c not in dictionary))
+            for c, value in zip(pending, oracle.evaluate_many(pending)):
+                dictionary.insert(c, value)
+            if len(dictionary) != oracle.total_queries:
+                raise AssertionError(
+                    f"memoization broken: {len(dictionary)} entries vs "
+                    f"{oracle.total_queries} oracle queries"
                 )
-            )
+            for i, c in zip(rows, members):
+                fitness[i] = dictionary[c]
+            best, mean = float(fitness.max()), float(fitness.mean())
+            telemetry.append(IterationStats(iteration, len(pending), best, mean))
             if iteration > ga_config.iterations:
                 break  # the terminal population is evaluated, not evolved
-            population = reproduce(
-                population, fitness, ga_config.selection_lambda, rng
-            )
-            population = mutate(population, ga_config.mutation_prob, space, rng)
+            parents, fitness = reproduce(population, fitness, ga_config.selection_lambda, rng)
+            mutants = mutate(parents, ga_config.mutation_prob, space, rng)
+            hits = _changed(parents, mutants)
             # Fresh mutants have no recorded fitness yet; they rank below any
             # true power value, so they are never picked as parents and are
             # the first candidates for replacement.
-            known = np.array([dictionary.get(c, -1.0) for c in population])
-            population = crossover_best_two(population, known, rng)
+            for i in hits:
+                fitness[i] = dictionary.get(Chromosome(mutants[i]), -1.0)
+            population = crossover_best_two(mutants, fitness, rng)
+            rows = sorted({*hits, *_changed(mutants, population)})
         queries = oracle.total_queries
     return GaReport(
         dictionary=dictionary,

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,9 @@ from powermap import (
     run,
     selection_probabilities,
 )
+from powermap.config import load_run_config
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_space():
@@ -90,6 +95,142 @@ class TestSelectionProbabilities:
         np.testing.assert_allclose(base, shifted, atol=1e-12)
 
 
+# Reference copies of the operators as they were on Chromosome lists: the
+# spec that the gene-tuple operators must match gene for gene and draw for
+# draw (same values, same generator state afterwards).
+
+
+def reference_initialize_population(space, size, rng):
+    return [space.random_chromosome(rng) for _ in range(size)]
+
+
+def reference_reproduce(population, fitness, selection_lambda, rng):
+    probs = selection_probabilities(fitness, selection_lambda)
+    picks = rng.choice(len(population), size=len(population), replace=True, p=probs)
+    return [population[i] for i in picks]
+
+
+def reference_mutate(population, mutation_prob, space, rng):
+    counts = space.grid_counts
+    out = []
+    for c in population:
+        if rng.random() < mutation_prob:
+            gene = int(rng.integers(0, len(counts)))
+            value = int(rng.integers(0, counts[gene]))
+            genes = list(c.genes)
+            genes[gene] = value
+            out.append(Chromosome(tuple(genes)))
+        else:
+            out.append(c)
+    return out
+
+
+def reference_crossover_best_two(population, fitness, rng):
+    n = len(population)
+    length = len(population[0].genes)
+    order = sorted(range(n), key=lambda i: (-fitness[i], population[i].genes))
+    first, second = population[order[0]], population[order[1]]
+    split = int(rng.integers(1, length))
+    child_a = Chromosome(first.genes[:split] + second.genes[split:])
+    child_b = Chromosome(second.genes[:split] + first.genes[split:])
+    out = list(population)
+    out[order[-1]] = child_a
+    out[order[-2]] = child_b
+    return out
+
+
+def space_with_counts(counts):
+    """A search space whose grid_counts are counts (the last is sample size)."""
+    return SearchSpace(
+        coefficient_ranges=tuple(ParameterRange(0.0, c - 1.0, 1.0) for c in counts[:-1]),
+        sample_size_range=ParameterRange(10, 10 + 5 * (counts[-1] - 1), 5),
+    )
+
+
+def genes_of(chromosomes):
+    return [c.genes for c in chromosomes]
+
+
+def twin_generators(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+# Grid counts per dimension: small ones (1 makes a dimension draw nothing),
+# and ones beyond 32 bits, which numpy bounds with 64-bit draws.
+grid_counts = st.lists(
+    st.one_of(st.integers(1, 40), st.integers(2**32, 2**40)), min_size=2, max_size=4
+)
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestStreamIdentity:
+    """Each operator equals its reference copy in genes and in the
+    generator state it leaves behind."""
+
+    @given(grid_counts, st.integers(0, 60), seeds)
+    @settings(max_examples=150, deadline=None)
+    def test_initialize_population(self, counts, size, seed):
+        space = space_with_counts(counts)
+        ours, theirs = twin_generators(seed)
+        population = initialize_population(space, size, ours)
+        assert population == genes_of(reference_initialize_population(space, size, theirs))
+        assert all(type(g) is int for genes in population for g in genes)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("path", ["desk.json", "interaction_study.json"])
+    def test_initialize_population_shipped_configs(self, path):
+        space = load_run_config(ROOT / "configs" / path).space
+        ours, theirs = twin_generators(1)
+        population = initialize_population(space, 1000, ours)
+        assert population == genes_of(reference_initialize_population(space, 1000, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("mutation_prob", [0.0, 0.05, 1.0])
+    @given(grid_counts, st.integers(1, 60), seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_mutate(self, mutation_prob, counts, size, seed):
+        space = space_with_counts(counts)
+        ours, theirs = twin_generators(seed)
+        population = reference_initialize_population(space, size, ours)
+        theirs.bit_generator.state = ours.bit_generator.state
+        mutated = mutate(genes_of(population), mutation_prob, space, ours)
+        assert mutated == genes_of(reference_mutate(population, mutation_prob, space, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @given(
+        st.lists(st.integers(1, 3), min_size=2, max_size=4),
+        st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0]), min_size=2, max_size=40),
+        seeds,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_crossover_best_two(self, counts, fitness, seed):
+        """Small grids make duplicate members, a few fitness levels make
+        ties, and -1 is the sentinel of a fresh mutant."""
+        space = space_with_counts(counts)
+        ours, theirs = twin_generators(seed)
+        population = reference_initialize_population(space, len(fitness), ours)
+        theirs.bit_generator.state = ours.bit_generator.state
+        known = np.array(fitness)
+        result = crossover_best_two(genes_of(population), known, ours)
+        assert result == genes_of(reference_crossover_best_two(population, known, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @given(
+        st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=40),
+        st.floats(-20, 20, allow_nan=False),
+        seeds,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_reproduce(self, fitness, selection_lambda, seed):
+        population = [(i, 0) for i in range(len(fitness))]
+        ours, theirs = twin_generators(seed)
+        picked, picked_fitness = reproduce(population, fitness, selection_lambda, ours)
+        chromosomes = [Chromosome(genes) for genes in population]
+        assert picked == genes_of(reference_reproduce(chromosomes, fitness, selection_lambda, theirs))
+        assert picked_fitness.tolist() == [fitness[i] for i, _ in picked]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 class TestInitializePopulation:
     def test_exact_size(self):
         rng = np.random.default_rng(0)
@@ -102,13 +243,13 @@ class TestInitializePopulation:
         )
         rng = np.random.default_rng(1)
         population = initialize_population(space, 2, rng)
-        assert population[0] == population[1] == Chromosome((0, 0))
+        assert population[0] == population[1] == (0, 0)
 
     def test_per_dimension_uniformity(self):
         space = small_space()
         rng = np.random.default_rng(123)
         population = initialize_population(space, 10_000, rng)
-        draws = np.array([c.genes for c in population])
+        draws = np.array(population)
         for j, count in enumerate(space.grid_counts):
             _, p = scipy_stats.chisquare(np.bincount(draws[:, j], minlength=count))
             assert p > 0.001
@@ -117,26 +258,28 @@ class TestInitializePopulation:
 class TestReproduce:
     def test_dominant_fitness_takes_over(self):
         rng = np.random.default_rng(2)
-        population = [Chromosome((i, 0)) for i in range(4)]
+        population = [(i, 0) for i in range(4)]
         fitness = [0.0, 1.0, 0.0, 0.0]
-        offspring = reproduce(population, fitness, 200.0, rng)
-        assert all(c == population[1] for c in offspring)
+        offspring, offspring_fitness = reproduce(population, fitness, 200.0, rng)
+        assert all(genes == population[1] for genes in offspring)
+        assert offspring_fitness.tolist() == [1.0] * 4
 
     def test_lambda_zero_selects_uniformly(self):
         rng = np.random.default_rng(3)
-        population = [Chromosome((i, 0)) for i in range(5)]
+        population = [(i, 0) for i in range(5)]
         fitness = [0.9, 0.1, 0.5, 0.3, 0.7]
         counts = np.zeros(5)
         for _ in range(2000):
-            for c in reproduce(population, fitness, 0.0, rng):
-                counts[c.genes[0]] += 1
+            for genes in reproduce(population, fitness, 0.0, rng)[0]:
+                counts[genes[0]] += 1
         _, p = scipy_stats.chisquare(counts)
         assert p > 0.001
 
     def test_output_size(self):
         rng = np.random.default_rng(4)
-        population = [Chromosome((i, 0)) for i in range(6)]
-        assert len(reproduce(population, [0.5] * 6, 1.0, rng)) == 6
+        population = [(i, 0) for i in range(6)]
+        offspring, offspring_fitness = reproduce(population, [0.5] * 6, 1.0, rng)
+        assert len(offspring) == len(offspring_fitness) == 6
 
 
 class TestMutate:
@@ -151,38 +294,40 @@ class TestMutate:
         population = initialize_population(space, 50, rng)
         mutated = mutate(population, 1.0, space, rng)
         for before, after in zip(population, mutated):
-            differing = sum(a != b for a, b in zip(before.genes, after.genes))
+            differing = sum(a != b for a, b in zip(before, after))
             assert differing <= 1
 
     def test_mutated_genes_stay_on_grid(self):
         space = small_space()
         rng = np.random.default_rng(7)
         population = initialize_population(space, 50, rng)
-        for c in mutate(population, 1.0, space, rng):
-            assert all(g < n for g, n in zip(c.genes, space.grid_counts))
+        for genes in mutate(population, 1.0, space, rng):
+            assert all(g < n for g, n in zip(genes, space.grid_counts))
 
 
 class TestCrossover:
     def test_identical_parents_change_nothing(self):
         rng = np.random.default_rng(8)
-        population = [Chromosome((1, 2))] * 4
+        population = [(1, 2)] * 4
         fitness = [0.9, 0.8, 0.1, 0.2]
         assert crossover_best_two(population, fitness, rng) == population
 
     def test_known_split(self):
-        population = [
-            Chromosome((7, 7, 7, 7)),
-            Chromosome((9, 9, 9, 9)),
-            Chromosome((0, 1, 2, 3)),
-            Chromosome((3, 2, 1, 0)),
-        ]
+        population = [(7, 7, 7, 7), (9, 9, 9, 9), (0, 1, 2, 3), (3, 2, 1, 0)]
         fitness = [0.9, 0.8, 0.1, 0.2]
         result = crossover_best_two(population, fitness, _FixedSplitRng(2))
         assert result[0] == population[0]  # parents survive
         assert result[1] == population[1]
         # offspring replace the two worst (lowest fitness first)
-        assert result[2] == Chromosome((7, 7, 9, 9))
-        assert result[3] == Chromosome((9, 9, 7, 7))
+        assert result[2] == (7, 7, 9, 9)
+        assert result[3] == (9, 9, 7, 7)
+
+    def test_tied_least_fit_higher_key_replaced_first(self):
+        population = [(7, 7), (9, 9), (0, 1), (1, 0)]
+        fitness = [0.9, 0.8, -1.0, -1.0]
+        result = crossover_best_two(population, fitness, _FixedSplitRng(1))
+        assert result[3] == (7, 9)  # first child: the higher key (1, 0) goes first
+        assert result[2] == (9, 7)
 
     def test_offspring_mix_prefix_and_suffix(self):
         rng = np.random.default_rng(9)
@@ -190,14 +335,13 @@ class TestCrossover:
         for _ in range(50):
             population = initialize_population(space, 6, rng)
             fitness = list(rng.random(6))
-            order = sorted(range(6), key=lambda i: (-fitness[i], population[i].genes))
+            order = sorted(range(6), key=lambda i: (-fitness[i], population[i]))
             pa, pb = population[order[0]], population[order[1]]
             result = crossover_best_two(population, fitness, rng)
             for child in (result[order[-1]], result[order[-2]]):
-                L = len(child.genes)
+                L = len(child)
                 ok = any(
-                    child.genes == pa.genes[:s] + pb.genes[s:]
-                    or child.genes == pb.genes[:s] + pa.genes[s:]
+                    child == pa[:s] + pb[s:] or child == pb[:s] + pa[s:]
                     for s in range(1, L)
                 )
                 assert ok
@@ -284,6 +428,53 @@ class TestRun:
         b = run(small_space(), fast_oracle_config(), config, worker_count=2)
         assert dict(a.dictionary.items()) == dict(b.dictionary.items())
         assert a.per_iteration == b.per_iteration
+
+    @pytest.mark.parametrize(
+        "case, new_queries, last, per_iteration_sha, arrays_sha",
+        [
+            (
+                "small-5",
+                [10, 7, 0, 2, 0, 0, 1, 1, 0, 0, 4],
+                (0.96, 0.6766666666666667),
+                "4e1c49b3c397f4d33f02d8c996f228e42e7c61e70414dd9153ba153a91f309b3",
+                "c5f17f5342362b54e6e1ea3134d49195afe3fb63aac666d4bb50c91d623e5619",
+            ),
+            (
+                "small-13",
+                [10, 0, 2, 1, 1, 2, 3, 2, 2, 1, 1],
+                (1.0, 0.8066666666666666),
+                "d1f6cfd6d0a6635637d0dada8dda67ed60f7d115fbd8fbd84353944baeccb3b6",
+                "4cb846ed32171dd431f6356d4cd08fafa28528f0ab6739e9b61c24a5ac72ee9f",
+            ),
+            (
+                "desk",
+                [191, 3, 3, 7, 4, 7, 1, 9, 4, 11, 7, 4, 0, 4, 2, 3,
+                 3, 6, 3, 3, 6, 2, 0, 3, 6, 1, 4, 1, 1, 7, 4],
+                (1.0, 0.94735),
+                "762f1f25054c39f8c0ed26682114f89889253992545146b741f9d0ece4ed6e33",
+                "b705adb53d633ce8c5af66090431975bd35ed801e2de33f7ae87c616180dc532",
+            ),
+        ],
+    )
+    def test_frozen_trajectory(self, case, new_queries, last, per_iteration_sha, arrays_sha):
+        """The search's trajectory, frozen from the Chromosome-list loop: a
+        change to the draw order or to the oracle's query order fails here.
+        small-S runs small_space() at master seed S (mutation 0.5, so new
+        points keep coming); desk is configs/desk.json at master seed 1,
+        oracle seed 2022."""
+        if case == "desk":
+            desk = load_run_config(ROOT / "configs" / "desk.json")
+            report = run(desk.space, desk.oracle, desk.ga, oracle_seed=2022)
+        else:
+            seed = int(case.split("-")[1])
+            config = GaConfig(12, 10, mutation_prob=0.5, master_seed=seed)
+            report = run(small_space(), fast_oracle_config(), config)
+        genes, powers = report.dictionary.arrays()
+        final = report.per_iteration[-1]
+        assert [s.new_queries for s in report.per_iteration] == new_queries
+        assert (final.best_fitness, final.mean_fitness) == last
+        assert hashlib.sha256(repr(report.per_iteration).encode()).hexdigest() == per_iteration_sha
+        assert hashlib.sha256(genes.tobytes() + powers.tobytes()).hexdigest() == arrays_sha
 
     def test_oracle_seed_decouples_exploration_from_values(self):
         space = small_space()

@@ -62,3 +62,40 @@ def test_perfbench_tracer_installs(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_perfbench_tracer_counts_a_learn(tmp_path):
+    """A learn runs to the end with the benchmark's tracer installed, and
+    the tracer's GA counters read what they read on the Chromosome-list
+    loop: the tracer hashes the populations that initialize_population and
+    crossover_best_two return, so their members must stay hashable."""
+    config = {
+        "search_space": {
+            "coefficients": [{"lower": 0.1, "upper": 0.5, "step": 0.1}],
+            "sample_size": {"lower": 20, "upper": 80, "step": 20},
+        },
+        "oracle": {"nsim": 40, "test": {"kind": "t_single", "tested_indices": [1]}},
+        "ga": {"population_size": 12, "iterations": 4},
+        "master_seed": 3,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = (
+        "import json, sys, trace_layers\n"
+        "tracer = trace_layers.Tracer(sys.argv[1])\n"
+        "tracer.install()\n"
+        "from powermap import cli\n"
+        "code = cli.main(['learn', '-c', sys.argv[2], '--out-dir', sys.argv[3]])\n"
+        "print(json.dumps({'exit': code, **tracer.counters}))\n"
+    )
+    env_path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "workers"), str(path), str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": env_path},
+    )
+    assert done.returncode == 0, done.stderr
+    counters = json.loads(done.stdout.splitlines()[-1])
+    assert counters["exit"] == 0
+    assert counters["ga.duplicates"] == 43
+    assert counters["ga.reproduce.calls"] == 4  # one per generation
+    assert counters["ga.operators.calls"] == 9  # one initialize, four mutate and crossover
