@@ -203,7 +203,6 @@ def run(
         fitness = np.empty(len(population))
         rows = range(len(population))
         for iteration in range(1, ga_config.iterations + 2):
-            # Unseen members reach the oracle once each, in first-occurrence order.
             members = [Chromosome(population[i]) for i in rows]
             pending = list(dict.fromkeys(c for c in members if c not in dictionary))
             for c, value in zip(pending, oracle.evaluate_many(pending)):
@@ -228,6 +227,8 @@ def run(
             for i in hits:
                 fitness[i] = dictionary.get(Chromosome(mutants[i]), -1.0)
             population = crossover_best_two(mutants, fitness, rng)
+            # In row order, so that unseen members reach the oracle in their
+            # first-occurrence order over the population.
             rows = sorted({*hits, *_changed(mutants, population)})
         queries = oracle.total_queries
     return GaReport(
