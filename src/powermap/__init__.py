@@ -31,7 +31,6 @@ from .regression import (
     SingularDesignError,
     TestResult,
     TestSpec,
-    generate_mlr_sample,
     ols_fit,
     run_test,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "estimate_power",
     "evaluate",
     "f_cdf",
-    "generate_mlr_sample",
     "initialize_population",
     "k_nearest",
     "mutate",

@@ -23,8 +23,7 @@ from .evaluate import (
     score,
 )
 from .config import RunConfig, load_run_config, resolved_config_dict
-from .grid import GridError
-from .knn import METRICS, DictionaryIndex, PredictorConfig, QueryError
+from .knn import METRICS, DictionaryIndex, PredictorConfig
 from .oracle import OracleError
 from .special import NumericalError
 
@@ -255,13 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        io_mod.FormatError,
-        GridError,
-        QueryError,
-        GridBudgetError,  # guard rail trips before any compute
-        ValueError,
-    ) as exc:
+    except (ValueError, GridBudgetError) as exc:  # bad input, or the grid budget guard rail
         _note(f"error: {exc}")
         return EXIT_VALIDATION
     except (OracleError, NumericalError) as exc:

@@ -10,13 +10,12 @@ sets explicitly wins, and overrides (the CLI flags) win over the file.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Any
 
 from .ga import GaConfig
 from .grid import SearchSpace
-from .io import FormatError, field, read, section, space_from_dict, space_to_dict
+from .io import FormatError, field, read, read_json, section, space_from_dict, space_to_dict
 from .knn import PredictorConfig
 from .oracle import OracleConfig
 from .regression import TestSpec
@@ -94,13 +93,7 @@ def build_run_config(data: dict[str, Any]) -> RunConfig:
 def load_run_config(path, overrides: dict[str, Any] | None = None) -> RunConfig:
     """The run configuration in a JSON file. Overrides, keyed by field path
     ("worker_count", "oracle.nsim"), win over the file's values."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    data = read_json(path)
     for name, value in (overrides or {}).items() if isinstance(data, dict) else ():
         section_name, _, key = name.rpartition(".")
         target = data.setdefault(section_name, {}) if section_name else data

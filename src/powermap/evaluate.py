@@ -116,15 +116,20 @@ def score(
     size, counts = space.grid_size, space.grid_counts
     genes, powers = reference
     genes = np.asarray(genes).reshape(-1, space.dimension)
+    # The entry count first, so that no array is sized by a grid the
+    # entries cannot cover.
+    uncovered = ValueError(
+        f"brute-force dictionary has {len(genes)} entries; "
+        f"expected full coverage of the {size}-point grid"
+    )
+    if len(genes) != size:
+        raise uncovered
     on_grid = np.all((genes >= 0) & (genes < counts), axis=1)
     position = np.ravel_multi_index(genes[on_grid].T, counts)
     covered = np.zeros(size, dtype=bool)
     covered[position] = True
-    if len(genes) != size or not covered.all():
-        raise ValueError(
-            f"brute-force dictionary has {len(genes)} entries; "
-            f"expected full coverage of the {size}-point grid"
-        )
+    if not covered.all():
+        raise uncovered
     truth = np.empty(size)
     truth[position] = powers
     genes, powers = learned

@@ -38,6 +38,21 @@ class FormatError(ValueError):
     not match its schema; the message names the field path or line."""
 
 
+def read_json(path) -> Any:
+    """The JSON value in the UTF-8 file at path. Invalid JSON, bytes that are
+    not UTF-8 and nesting too deep to decode are each a FormatError naming
+    the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nested too deeply to decode") from None
+
+
 def _accepted(values: list, kind) -> bool:
     """Whether every value is of kind: one pass over the set of their types
     (and of their items' types, for tuple[X, ...]: JSON lists of X)."""
@@ -229,11 +244,11 @@ def load_dictionary_arrays(path) -> tuple[SearchSpace, np.ndarray, np.ndarray, d
     in [0, 1], and no two entries may name the same point. The error names
     the first entry that breaks a rule, in that order of rules.
     """
-    with open(path) as fh:
-        try:
-            return _arrays_from_dict(json.load(fh))
-        except ValueError as exc:  # a FormatError, or not JSON at all
-            raise FormatError(f"{path}: {exc}") from None
+    payload = read_json(path)
+    try:
+        return _arrays_from_dict(payload)
+    except ValueError as exc:  # a FormatError, or any check of the space
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def load_dictionary_json(path) -> tuple[PowerDictionary, SearchSpace, dict[str, Any]]:
@@ -361,6 +376,8 @@ def load_queries_csv(path, space: SearchSpace) -> tuple[list[str], list[tuple[fl
                 points.append(point)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from None
+    except csv.Error as exc:  # a field longer than csv.field_size_limit(), say
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     return header, points
 
 

@@ -57,6 +57,7 @@ draws per replication however large n is.
 from __future__ import annotations
 
 import operator
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -181,22 +182,18 @@ def _points(chromosomes: Sequence[Chromosome], space: SearchSpace, config: Oracl
         misfit = ValueError(f"test indices {tested} exceed the {p} coefficients")
     elif config.scheme == "experiment" and p != 3:
         misfit = ValueError(f"experiment scheme requires exactly 3 coefficients, got {p}")
-    on_grid = [
+    on_grid = all(
         len(c.genes) == len(counts) and all(map(operator.lt, c.genes, counts)) for c in chromosomes
-    ]
-    off = on_grid.index(False) if False in on_grid else len(chromosomes)
-    values = space.decode_many([c.genes for c in chromosomes[:off]])
+    )
+    values = space.decode_many([c.genes for c in chromosomes] if on_grid else [])
     sizes = values[:, -1].astype(int).tolist()
-    small = next((i for i, n in enumerate(sizes) if n < p + 2), off)
-    first = 0 if misfit is not None else min(small, off)
-    if first < len(chromosomes):
-        if first == off:
-            space.decode(chromosomes[first])  # off the grid: raises GridError
-        if first == small:
-            raise OracleError(
-                f"decoded sample size {sizes[first]} cannot fit {p} slopes plus intercept"
-            )
-        raise misfit
+    if not on_grid or misfit is not None or min(sizes, default=p + 2) < p + 2:
+        for c in chromosomes:
+            n = int(space.decode(c)[-1])  # off the grid: raises GridError
+            if n < p + 2:
+                raise OracleError(f"decoded sample size {n} cannot fit {p} slopes plus intercept")
+            if misfit is not None:
+                raise misfit
     order = [j for j in range(p) if j + 1 not in tested] + [j - 1 for j in tested]
     # Each point's scalars in Python floats, the same IEEE operations as on
     # numpy's float64.
@@ -475,9 +472,18 @@ def _redraw(point: _Points, key: tuple[int, ...]) -> bool:
     )
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class PowerOracle:
     """Counting front-end over estimate_many, optionally fanned out to
-    worker processes in chunks of chromosomes.
+    worker processes in chunks of chromosomes. The pool has no more
+    processes than the CPUs this process may run on; the chunks are sized
+    by worker_count all the same.
 
     Because each estimate depends only on (master_seed, chromosome), results
     are identical for any worker count; total_queries is incremented at the
@@ -518,7 +524,7 @@ class PowerOracle:
         if self.worker_count == 1 or len(chromosomes) < 2:
             return batch(chromosomes)
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.worker_count)
+            self._executor = ProcessPoolExecutor(max_workers=min(self.worker_count, _usable_cpus()))
         size = max(1, len(chromosomes) // (4 * self.worker_count))
         chunks = [chromosomes[i : i + size] for i in range(0, len(chromosomes), size)]
         return [value for values in self._executor.map(batch, chunks) for value in values]

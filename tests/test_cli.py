@@ -301,6 +301,18 @@ class TestPredict:
         assert f"{queries}: 'utf-8' codec" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_over_long_query_field_exits_2_naming_it(self, tmp_path, brute_export, capsys):
+        """A field beyond csv.field_size_limit() (131,072 characters)."""
+        queries = tmp_path / "q.csv"
+        queries.write_text("theta_1,n\n0.3,40\n" + "1" * 200_000 + ",40\n")
+        out = tmp_path / "pred.csv"
+        assert main([
+            "predict", "--dictionary", str(brute_export),
+            "--queries", str(queries), "--out", str(out),
+        ]) == 2
+        assert f"{queries}: line 3: field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_k_below_one_exits_2_without_queries(self, tmp_path, brute_export, capsys):
         queries = tmp_path / "q.csv"
         queries.write_text("theta_1,n\n")
@@ -525,6 +537,30 @@ class TestWorkerDeterminism:
         assert main(["learn", "-c", str(config), "--workers", "2"]) == 0
         for name in ("run_dictionary.csv", "run_dictionary.json"):
             assert (out / name).read_bytes() == (stash / name).read_bytes()
+
+
+@pytest.mark.parametrize("reader", ["learn", "brute-force", "predict", "evaluate --ga", "evaluate --brute"])
+def test_deeply_nested_json_exits_2_naming_it(tmp_path, capsys, reader):
+    """JSON nested too deeply to decode is a validation error that names
+    the file, whichever command reads it."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    export = tmp_path / "out" / "run_dictionary.json"
+    queries = tmp_path / "q.csv"
+    queries.write_text("theta_1,n\n0.3,40\n")
+    argv = {
+        "learn": ["learn", "-c", str(deep)],
+        "brute-force": ["brute-force", "-c", str(deep)],
+        "predict": ["predict", "--dictionary", str(deep), "--queries", str(queries), "--out", str(tmp_path / "p.csv")],
+        "evaluate --ga": ["evaluate", "--ga", str(deep), "--brute", str(export)],
+        "evaluate --brute": ["evaluate", "--ga", str(export), "--brute", str(deep)],
+    }[reader]
+    if reader.startswith("evaluate"):
+        assert main(["brute-force", "-c", str(write_config(tmp_path))]) == 0
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"{deep}: JSON nested too deeply to decode" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_import_leaves_numpy_random_unloaded():

@@ -244,6 +244,18 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="coverage"):
             evaluate(as_report(partial), partial, space, k=1)
 
+    def test_entry_count_checked_before_grid_sized_arrays(self):
+        """A reference whose space claims 10**12 points, far more than its
+        entries, fails on the count before any grid-sized array exists."""
+        space = SearchSpace(
+            coefficient_ranges=(ParameterRange(0, 999_999, 1), ParameterRange(0, 999_999, 1)),
+            sample_size_range=ParameterRange(20, 20, 1),
+        )
+        genes = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
+        powers = np.full(3, 0.5)
+        with pytest.raises(ValueError, match="3 entries; expected full coverage of the 1000000000000-point"):
+            score((genes, powers), (genes, powers), space, PredictorConfig(1), 3)
+
     def test_empty_learned_dictionary_rejected(self):
         space = tiny_space()
         brute = brute_force_manifold(space, oracle_config(), 3)

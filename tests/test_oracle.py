@@ -17,10 +17,10 @@ from powermap import (
     TestSpec,
     estimate_power,
     f_cdf,
-    generate_mlr_sample,
     ols_fit,
     run_test,
 )
+from powermap.regression import generate_mlr_sample
 
 # Two-sided single-slope t test, beta=0.3, sigma2=1, n=100, regressor drawn
 # iid standard normal: random-design power, the noncentral-t tail with
@@ -172,6 +172,44 @@ class TestPowerOracle:
         space = point_space([0.2], 50)
         with pytest.raises(ValueError):
             PowerOracle(space, t_config(20), -1)
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_pool_capped_at_usable_cpus(self, monkeypatch, affinity):
+        """The pool has min(worker_count, CPUs this process may use)
+        processes; the chunks and the values do not change. A stub stands in
+        for the pool and maps in this process."""
+        pools, chunks = [], []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def map(self, fn, parts):
+                chunks.extend(parts)
+                return map(fn, parts)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(oracle_mod, "ProcessPoolExecutor", InProcessPool)
+        if affinity:
+            monkeypatch.setattr(oracle_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        else:
+            monkeypatch.delattr(oracle_mod.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: 3)
+        space = SearchSpace(
+            coefficient_ranges=(ParameterRange(0.1, 0.3, 0.1),),
+            sample_size_range=ParameterRange(30, 100, 10),
+        )
+        chroms = list(space.enumerate_grid())
+        with PowerOracle(space, t_config(20), 17) as serial:
+            base = serial.evaluate_many(chroms)
+        for workers, chunk_count in ((64, 24), (2, 8)):
+            chunks.clear()
+            with PowerOracle(space, t_config(20), 17, worker_count=workers) as oracle:
+                assert oracle.evaluate_many(chroms) == base
+            assert len(chunks) == chunk_count  # sized by worker_count
+        assert pools == [3, 2]
 
 
 def scalar_reject(X, y, config):

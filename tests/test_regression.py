@@ -6,10 +6,10 @@ from powermap import (
     DegenerateFitError,
     SingularDesignError,
     TestSpec,
-    generate_mlr_sample,
     ols_fit,
     run_test,
 )
+from powermap.regression import generate_mlr_sample
 
 
 def normal_equations_fit(X, y):
