@@ -38,8 +38,7 @@ def _note(message: str) -> None:
 
 
 def _warn_dropped_remainders(config: RunConfig) -> None:
-    names = [f"theta_{j + 1}" for j in range(config.space.n_coefficients)] + ["n"]
-    for name, r in zip(names, config.space.ranges):
+    for name, r in zip(io_mod.dictionary_csv_header(config.space), config.space.ranges):
         top = r.top_value
         if top < r.upper - 1e-12 * max(1.0, abs(r.upper)):
             _note(
@@ -85,10 +84,17 @@ def _out_paths(config: RunConfig) -> tuple[Path, Path, Path]:
 
 def _export_run(
     config: RunConfig,
+    command: str,
     dictionary: ga_mod.PowerDictionary,
-    metadata: dict,
-    report: ga_mod.GaReport | None,
+    report: ga_mod.GaReport | None = None,
 ) -> None:
+    """Writes the dictionary's CSV and JSON exports, and with a GA report,
+    the report JSON. Brute force queries the oracle once per entry."""
+    metadata = {
+        "command": command,
+        "oracle_queries": len(dictionary) if report is None else report.oracle_queries,
+        "config": resolved_config_dict(config),
+    }
     csv_path, json_path, report_path = _out_paths(config)
     io_mod.export_dictionary_csv(csv_path, dictionary, config.space)
     io_mod.export_dictionary_json(json_path, dictionary, config.space, metadata)
@@ -119,12 +125,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         oracle_seed=config.resolved_oracle_seed,
         worker_count=config.worker_count,
     )
-    metadata = {
-        "command": "learn",
-        "oracle_queries": report.oracle_queries,
-        "config": resolved_config_dict(config),
-    }
-    _export_run(config, report.dictionary, metadata, report)
+    _export_run(config, "learn", report.dictionary, report)
     _note(
         f"oracle queries: {report.oracle_queries} "
         f"(grid size {config.space.grid_size}), "
@@ -145,12 +146,7 @@ def cmd_brute_force(args: argparse.Namespace) -> int:
         grid_budget=args.grid_budget,
     )
     elapsed = time.perf_counter() - started
-    metadata = {
-        "command": "brute-force",
-        "oracle_queries": len(dictionary),
-        "config": resolved_config_dict(config),
-    }
-    _export_run(config, dictionary, metadata, None)
+    _export_run(config, "brute-force", dictionary)
     _note(f"oracle queries: {len(dictionary)}, elapsed: {elapsed:.2f} s")
     return EXIT_OK
 

@@ -15,7 +15,7 @@ from typing import Any
 
 from .ga import GaConfig
 from .grid import SearchSpace
-from .io import FormatError, field, read, read_json, section, space_from_dict, space_to_dict
+from .io import FormatError, expect, field, read, read_json, section, space_from_dict, space_to_dict
 from .knn import PredictorConfig
 from .oracle import OracleConfig
 from .regression import TestSpec
@@ -48,8 +48,7 @@ class RunConfig:
 
 
 def build_run_config(data: dict[str, Any]) -> RunConfig:
-    if type(data) is not dict:
-        raise FormatError("top level: expected a JSON object")
+    expect(data, "top level", dict)
     space = space_from_dict(section(data, "", "search_space"))
     oracle = section(data, "", "oracle")
     test = read(TestSpec, section(oracle, "oracle", "test"), "oracle.test")

@@ -31,6 +31,7 @@ _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
 # The JSON types each kind accepts: an integer is also a float, a boolean is
 # neither, and nothing else converts.
 _ACCEPTS = {dict: {dict}, list: {list}, str: {str}, int: {int}, float: {float, int}}
+_ECHO = 80  # characters of a value of the wrong kind that an error echoes
 
 
 class FormatError(ValueError):
@@ -63,45 +64,40 @@ def _accepted(values: list, kind) -> bool:
     return set(map(type, values)) <= _ACCEPTS[kind]
 
 
-def _conform(values: list, kind) -> list | None:
-    """values as kind, integers made floats where kind is float; None when
-    one of them is not of kind."""
-    if not _accepted(values, kind):
-        return None
-    if type(kind) is GenericAlias:
-        return [tuple(map(kind.__args__[0], v)) for v in values]
-    return list(map(float, values)) if kind is float else values
+def expect(value: Any, where: str, kind) -> Any:
+    """value, the JSON value at where, as kind: a JSON type, or tuple[X, ...]
+    for a list of X.
 
-
-def _object(data: Any, path: str) -> dict:
-    if type(data) is not dict:
-        raise FormatError(f"{path}: expected an object, got {type(data).__name__}")
-    return data
+    Nothing is cast: an integer is also accepted as a float (and becomes
+    one), a boolean is neither, and a string is never a number. A value of
+    another kind is echoed in the error, cut to _ECHO characters.
+    """
+    if not _accepted([value], kind):
+        expected = (
+            f"a list with each item {_KINDS[kind.__args__[0]]}"
+            if type(kind) is GenericAlias else _KINDS[kind]
+        )
+        got = json.dumps(value)
+        if len(got) > _ECHO:
+            got = f"{got[:_ECHO]}... ({len(got)} characters)"
+        raise FormatError(f"{where}: expected {expected}, got {got}")
+    try:
+        if type(kind) is GenericAlias:
+            return tuple(map(kind.__args__[0], value))
+        return float(value) if kind is float else value
+    except OverflowError:
+        raise FormatError(f"{where}: an integer too large for a float") from None
 
 
 def field(data: dict, path: str, key: str, kind, default: Any = MISSING) -> Any:
-    """data[key] as kind, or default when the key is absent (required when
-    there is no default). kind is a JSON type or tuple[X, ...] for a list.
-
-    Nothing is cast: an integer is also accepted as a float (and becomes
-    one), a boolean is neither, and a string is never a number.
-    """
+    """expect(data[key], ...) at path.key, or default when the key is absent
+    (required when there is no default)."""
     where = f"{path}.{key}" if path else key
     if key not in data:
         if default is MISSING:
             raise FormatError(f"{where}: required field is missing")
         return default
-    try:
-        converted = _conform([data[key]], kind)
-    except OverflowError:
-        raise FormatError(f"{where}: an integer too large for a float") from None
-    if converted is None:
-        expected = (
-            f"a list with each item {_KINDS[kind.__args__[0]]}"
-            if type(kind) is GenericAlias else _KINDS[kind]
-        )
-        raise FormatError(f"{where}: expected {expected}, got {json.dumps(data[key])}")
-    return converted[0]
+    return expect(data[key], where, kind)
 
 
 def column(rows: list, path: str, key: str, kind) -> list:
@@ -115,7 +111,7 @@ def column(rows: list, path: str, key: str, kind) -> list:
     if values is None or not _accepted(values, kind):
         # Row by row, so that the first bad row names itself.
         for i, row in enumerate(rows):
-            field(_object(row, f"{path}[{i}]"), f"{path}[{i}]", key, kind)
+            field(expect(row, f"{path}[{i}]", dict), f"{path}[{i}]", key, kind)
     return values
 
 
@@ -134,7 +130,7 @@ def read(cls, data: Any, path: str, defaults: dict[str, Any] | None = None, **gi
     field's type hint; an absent key takes its value from defaults, then
     from the field's own default. The class's own checks name the path.
     """
-    _object(data, path)
+    expect(data, path, dict)
     hints = get_type_hints(cls)
     defaults = defaults or {}
     values = {
@@ -176,13 +172,19 @@ def dictionary_csv_header(space: SearchSpace) -> list[str]:
     return [f"theta_{j + 1}" for j in range(space.n_coefficients)] + ["n", "power"]
 
 
-def export_dictionary_csv(path, dictionary: PowerDictionary, space: SearchSpace) -> None:
+def _write_csv(path, header: list[str], rows, lasts) -> None:
+    """A header row, then each row's numbers and its one last value, all at
+    six decimals."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(dictionary_csv_header(space))
-        genes, powers = dictionary.arrays()
-        for values, power in zip(space.decode_many(genes), powers):
-            writer.writerow([f"{v:.6f}" for v in values] + [f"{power:.6f}"])
+        writer.writerow(header)
+        for numbers, last in zip(rows, lasts):
+            writer.writerow([f"{v:.6f}" for v in numbers] + [f"{last:.6f}"])
+
+
+def export_dictionary_csv(path, dictionary: PowerDictionary, space: SearchSpace) -> None:
+    genes, powers = dictionary.arrays()
+    _write_csv(path, dictionary_csv_header(space), space.decode_many(genes), powers)
 
 
 def _entry_template(dimension: int) -> str:
@@ -262,7 +264,7 @@ def load_dictionary_json(path) -> tuple[PowerDictionary, SearchSpace, dict[str, 
 
 
 def _arrays_from_dict(payload: Any) -> tuple[SearchSpace, np.ndarray, np.ndarray, dict[str, Any]]:
-    _object(payload, "top level")
+    expect(payload, "top level", dict)
     version = field(payload, "", "schema_version", int)
     if version != SCHEMA_VERSION:
         raise FormatError(f"schema_version: unsupported {version}, expected {SCHEMA_VERSION}")
@@ -326,30 +328,23 @@ def _floats(rows: list, key: str, width: int = 0) -> np.ndarray:
     try:
         array = np.fromiter(flat, dtype=float, count=len(rows) * max(width, 1))
     except OverflowError:
-        first = next(i for i, row in enumerate(rows) if _too_large(row))
-        raise FormatError(f"entries[{first}].{key}: an integer too large for a float") from None
+        kind = tuple[float, ...] if width else float
+        for i, row in enumerate(rows):  # in order, so the first such row raises
+            expect(row, f"entries[{i}].{key}", kind)
+        raise
     return array.reshape(-1, width) if width else array
 
 
-def _too_large(row) -> bool:
-    """Whether row, a number or a list of numbers, holds an integer too large
-    for a float."""
-    try:
-        np.array(row, dtype=float)
-    except OverflowError:
-        return True
-    return False
-
-
 def load_queries_csv(path, space: SearchSpace) -> tuple[list[str], list[tuple[float, ...]]]:
-    """Query points from a CSV with the dictionary's coordinate columns.
+    """Query points from a UTF-8 CSV (a leading BOM, as spreadsheets write,
+    is skipped) with the dictionary's coordinate columns.
 
     Returns (header, points). Malformed rows, non-finite values among them,
     are reported with their line number (header is line 1).
     """
     expected = dictionary_csv_header(space)[:-1]  # no power column
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -389,9 +384,4 @@ def write_predictions_csv(
 ) -> None:
     """Echo the query points (input row order preserved) with a
     predicted_power column appended."""
-    header = dictionary_csv_header(space)[:-1] + ["predicted_power"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for point, pred in zip(points, predictions):
-            writer.writerow([f"{v:.6f}" for v in point] + [f"{pred:.6f}"])
+    _write_csv(path, dictionary_csv_header(space)[:-1] + ["predicted_power"], points, predictions)

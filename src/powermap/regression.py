@@ -50,16 +50,21 @@ class TestSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("t_single", "f_joint"):
             raise ValueError(f"unknown test kind {self.kind!r}")
-        idx = tuple(sorted(set(self.tested_indices)))
-        if len(idx) != len(self.tested_indices):
-            raise ValueError(f"tested_indices contain duplicates: {self.tested_indices}")
+        # Each message names one index or a count, never the whole tuple,
+        # which a config file can make millions long.
+        seen: set[int] = set()
+        for i in self.tested_indices:
+            if i in seen:
+                raise ValueError(f"tested_indices contain duplicates: {i} appears more than once")
+            seen.add(i)
+        idx = tuple(sorted(seen))
         object.__setattr__(self, "tested_indices", idx)
         if not idx:
             raise ValueError("tested_indices must be non-empty")
-        if any(i < 1 for i in idx):
-            raise ValueError(f"tested_indices are 1-based slopes, got {idx}")
+        if idx[0] < 1:
+            raise ValueError(f"tested_indices are 1-based slopes, got {idx[0]}")
         if self.kind == "t_single" and len(idx) != 1:
-            raise ValueError(f"t_single tests exactly one coefficient, got {idx}")
+            raise ValueError(f"t_single tests exactly one coefficient, got {len(idx)}")
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,23 @@ class TestLearn:
         assert f"{named}: expected" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "named, section, make",
+        [
+            ("master_seed", "master_seed", lambda: list(range(1_000_000))),
+            ("master_seed", "master_seed", lambda: "x" * 5_000_000),
+            ("oracle.test", "oracle", lambda: {"test": {"kind": "t_single", "tested_indices": [1] * 1_000_000}}),
+        ],
+        ids=["long-list", "long-string", "many-duplicates"],
+    )
+    def test_long_bad_values_are_cut_in_messages(self, tmp_path, capsys, named, section, make):
+        config = write_config(tmp_path, **{section: make()})
+        assert main(["learn", "-c", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{named}: " in err
+        assert len(err.encode()) < 1024
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("literal, value", [("NaN", float("nan")), ("Infinity", float("inf"))])
     def test_non_finite_selection_lambda_exits_2_before_queries(
         self, tmp_path, capsys, literal, value
@@ -215,6 +232,20 @@ class TestBruteForce:
         assert main(["brute-force", "-c", str(config), "--grid-budget", "3"]) == 2
         err = capsys.readouterr().err
         assert "20" in err and "budget" in err
+
+
+def test_export_metadata_names_command_and_queries(tmp_path):
+    config = str(write_config(tmp_path))
+    out = tmp_path / "out"
+    assert main(["learn", "-c", config]) == 0
+    assert main(["brute-force", "-c", config, "--prefix", "brute"]) == 0
+    _, genes, _, learned = load_dictionary_arrays(out / "run_dictionary.json")
+    report = json.loads((out / "run_report.json").read_text())
+    assert learned["command"] == "learn"
+    assert learned["oracle_queries"] == report["oracle_queries"] == len(genes)
+    space, genes, _, brute = load_dictionary_arrays(out / "brute_dictionary.json")
+    assert brute["command"] == "brute-force"
+    assert brute["oracle_queries"] == space.grid_size == len(genes) == 20
 
 
 class TestPredict:
@@ -300,6 +331,20 @@ class TestPredict:
         ]) == 2
         assert f"{queries}: 'utf-8' codec" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bom_query_file_predicts_like_plain(self, tmp_path, brute_export):
+        """A spreadsheet's "CSV UTF-8" export starts with a byte-order mark."""
+        rows = b"theta_1,n\n0.3,40\n0.25,50\n"
+        outputs = []
+        for name, text in (("plain", rows), ("bom", b"\xef\xbb\xbf" + rows)):
+            queries, out = tmp_path / f"{name}.csv", tmp_path / f"{name}_pred.csv"
+            queries.write_bytes(text)
+            assert main([
+                "predict", "--dictionary", str(brute_export),
+                "--queries", str(queries), "--out", str(out),
+            ]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_over_long_query_field_exits_2_naming_it(self, tmp_path, brute_export, capsys):
         """A field beyond csv.field_size_limit() (131,072 characters)."""

@@ -98,6 +98,20 @@ class TestTestSpec:
         with pytest.raises(ValueError):
             TestSpec((1,), "z_test")
 
+    @pytest.mark.parametrize(
+        "indices, kind, message",
+        [
+            ((3, 1, 3, 1), "f_joint", "tested_indices contain duplicates: 3 appears more than once"),
+            (tuple(range(-5, 100_000)), "f_joint", "tested_indices are 1-based slopes, got -5"),
+            (tuple(range(1, 100_001)), "t_single", "t_single tests exactly one coefficient, got 100000"),
+        ],
+        ids=["duplicates", "one-based", "t-single"],
+    )
+    def test_messages_name_one_index_not_the_tuple(self, indices, kind, message):
+        with pytest.raises(ValueError) as info:
+            TestSpec(indices, kind)
+        assert str(info.value) == message
+
 
 class TestRunTest:
     def test_zero_coefficient_never_rejects(self):
