@@ -182,8 +182,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    parser.add_argument("-c", "--config", required=required, help="run configuration JSON")
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("-c", "--config", required=True, help="run configuration JSON")
     parser.add_argument("--master-seed", dest="master_seed", type=int)
     parser.add_argument("--oracle-seed", dest="oracle_seed", type=int)
     parser.add_argument("--workers", type=int)

@@ -17,7 +17,7 @@ from .ga import GaConfig
 from .grid import SearchSpace
 from .io import FormatError, expect, field, read, read_json, section, space_from_dict, space_to_dict
 from .knn import PredictorConfig
-from .oracle import OracleConfig
+from .oracle import OracleConfig, check_fit
 from .regression import TestSpec
 
 # Not OracleConfig field defaults: they come before its required test field,
@@ -51,16 +51,15 @@ def build_run_config(data: dict[str, Any]) -> RunConfig:
     expect(data, "top level", dict)
     space = space_from_dict(section(data, "", "search_space"))
     oracle = section(data, "", "oracle")
-    test = read(TestSpec, section(oracle, "oracle", "test"), "oracle.test")
+    oracle = read(
+        OracleConfig, {**_ORACLE_DEFAULTS, **oracle}, "oracle",
+        test=read(TestSpec, section(oracle, "oracle", "test"), "oracle.test"),
+    )
     p = space.n_coefficients
-    if max(test.tested_indices) > p:
-        raise FormatError(
-            f"oracle.test.tested_indices: index {max(test.tested_indices)} "
-            f"exceeds the {p} coefficients in search_space"
-        )
-    oracle = read(OracleConfig, oracle, "oracle", _ORACLE_DEFAULTS, test=test)
-    if oracle.scheme == "experiment" and p != 3:
-        raise FormatError(f"oracle.scheme: the experiment scheme requires exactly 3 coefficients, got {p}")
+    try:
+        check_fit(p, oracle)
+    except ValueError as exc:
+        raise FormatError(f"oracle.{exc}") from None
     # Checked here, not in SearchSpace: a dictionary export of such a space
     # still loads for predict, which fits nothing.
     if space.sample_size_range.lower < p + 2:

@@ -31,7 +31,7 @@ _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
 # The JSON types each kind accepts: an integer is also a float, a boolean is
 # neither, and nothing else converts.
 _ACCEPTS = {dict: {dict}, list: {list}, str: {str}, int: {int}, float: {float, int}}
-_ECHO = 80  # characters of a value of the wrong kind that an error echoes
+_ECHO = 80  # characters of an input value that an error echoes
 
 
 class FormatError(ValueError):
@@ -41,14 +41,14 @@ class FormatError(ValueError):
 
 def read_json(path) -> Any:
     """The JSON value in the UTF-8 file at path. Invalid JSON, bytes that are
-    not UTF-8 and nesting too deep to decode are each a FormatError naming
-    the path."""
+    not UTF-8, an integer literal too long for Python to convert and nesting
+    too deep to decode are each a FormatError naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from None
-    except UnicodeDecodeError as exc:
+    except ValueError as exc:  # bytes not UTF-8, or an integer over Python's digit limit
         raise FormatError(f"{path}: {exc}") from None
     except RecursionError:
         raise FormatError(f"{path}: JSON nested too deeply to decode") from None
@@ -64,6 +64,11 @@ def _accepted(values: list, kind) -> bool:
     return set(map(type, values)) <= _ACCEPTS[kind]
 
 
+def _cut(text: str) -> str:
+    """text as an error echoes it: at most _ECHO characters, then its length."""
+    return text if len(text) <= _ECHO else f"{text[:_ECHO]}... ({len(text)} characters)"
+
+
 def expect(value: Any, where: str, kind) -> Any:
     """value, the JSON value at where, as kind: a JSON type, or tuple[X, ...]
     for a list of X.
@@ -77,10 +82,7 @@ def expect(value: Any, where: str, kind) -> Any:
             f"a list with each item {_KINDS[kind.__args__[0]]}"
             if type(kind) is GenericAlias else _KINDS[kind]
         )
-        got = json.dumps(value)
-        if len(got) > _ECHO:
-            got = f"{got[:_ECHO]}... ({len(got)} characters)"
-        raise FormatError(f"{where}: expected {expected}, got {got}")
+        raise FormatError(f"{where}: expected {expected}, got {_cut(json.dumps(value))}")
     try:
         if type(kind) is GenericAlias:
             return tuple(map(kind.__args__[0], value))
@@ -123,18 +125,17 @@ def section(data: dict, path: str, key: str, kind=dict, required: bool = True):
     return field(data, path, key, kind)
 
 
-def read(cls, data: Any, path: str, defaults: dict[str, Any] | None = None, **given):
+def read(cls, data: Any, path: str, **given):
     """An instance of the dataclass cls from the JSON object at path.
 
     Each field not given is the key of its name, checked against the
-    field's type hint; an absent key takes its value from defaults, then
-    from the field's own default. The class's own checks name the path.
+    field's type hint; an absent key takes the field's own default. The
+    class's own checks name the path.
     """
     expect(data, path, dict)
     hints = get_type_hints(cls)
-    defaults = defaults or {}
     values = {
-        f.name: field(data, path, f.name, hints[f.name], defaults.get(f.name, f.default))
+        f.name: field(data, path, f.name, hints[f.name], f.default)
         for f in fields(cls)
         if f.name not in given
     }
@@ -352,7 +353,7 @@ def load_queries_csv(path, space: SearchSpace) -> tuple[list[str], list[tuple[fl
                 raise FormatError(f"{path}: empty file, expected header {expected}") from None
             if [h.strip() for h in header[: len(expected)]] != expected:
                 raise FormatError(
-                    f"{path}: header {header} does not start with expected columns {expected}"
+                    f"{path}: header {_cut(str(header))} does not start with expected columns {expected}"
                 )
             points: list[tuple[float, ...]] = []
             for line_no, row in enumerate(reader, start=2):
@@ -365,7 +366,7 @@ def load_queries_csv(path, space: SearchSpace) -> tuple[list[str], list[tuple[fl
                 try:
                     point = tuple(float(v) for v in row[: len(expected)])
                 except ValueError as exc:
-                    raise FormatError(f"{path}: line {line_no}: {exc}") from None
+                    raise FormatError(f"{path}: line {line_no}: {_cut(str(exc))}") from None
                 if not all(math.isfinite(v) for v in point):
                     raise FormatError(f"{path}: line {line_no}: values must be finite, got {point}")
                 points.append(point)

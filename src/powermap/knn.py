@@ -51,7 +51,7 @@ def _check(k: int, metric: str) -> None:
     if k < 1:
         raise QueryError(f"k must be >= 1, got {k}")
     if metric not in METRICS:
-        raise QueryError(f"metric must be one of {METRICS}, got {metric!r}")
+        raise QueryError(f"metric must be one of {METRICS}, got {metric!r:.80}")
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,7 @@ class OracleConfig:
         if not (self.sigma2 > 0 and np.isfinite(self.sigma2)):
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
         if self.scheme not in REGRESSOR_SCHEMES:
-            raise ValueError(f"unknown regressor scheme {self.scheme!r}")
+            raise ValueError(f"unknown regressor scheme {self.scheme!r:.80}")
 
 
 @lru_cache(maxsize=1024)
@@ -167,33 +167,37 @@ class _Points:
         )
 
 
+def check_fit(p: int, config: OracleConfig) -> None:
+    """Raises a ValueError, its message starting with the field at fault,
+    unless config's test and scheme fit a model of p slopes."""
+    tested = max(config.test.tested_indices)
+    if tested > p:
+        raise ValueError(f"test.tested_indices: index {tested} exceeds the {p} coefficients")
+    if config.scheme == "experiment" and p != 3:
+        raise ValueError(f"scheme: the experiment scheme requires exactly 3 coefficients, got {p}")
+
+
 def _points(chromosomes: Sequence[Chromosome], space: SearchSpace, config: OracleConfig) -> _Points:
     """The kernel's view of the grid points, decoded in one decode_many.
 
-    Point by point, in order, each must be on the grid and fit the model, the
-    test and the scheme; the first that does not raises what it would raise
-    alone: decode's GridError, then OracleError for n < p + 2, then
-    ValueError for a test or scheme that does not fit p slopes.
+    The test and the scheme must fit the model (check_fit's ValueError).
+    Then point by point, in order, each must be on the grid and fit p slopes
+    plus intercept; the first that does not raises what it would raise
+    alone: decode's GridError, then OracleError for n < p + 2.
     """
     p, counts = space.n_coefficients, space.grid_counts
+    check_fit(p, config)
     tested, k = config.test.tested_indices, len(config.test.tested_indices)
-    misfit = None
-    if max(tested) > p:
-        misfit = ValueError(f"test indices {tested} exceed the {p} coefficients")
-    elif config.scheme == "experiment" and p != 3:
-        misfit = ValueError(f"experiment scheme requires exactly 3 coefficients, got {p}")
     on_grid = all(
         len(c.genes) == len(counts) and all(map(operator.lt, c.genes, counts)) for c in chromosomes
     )
     values = space.decode_many([c.genes for c in chromosomes] if on_grid else [])
     sizes = values[:, -1].astype(int).tolist()
-    if not on_grid or misfit is not None or min(sizes, default=p + 2) < p + 2:
+    if not on_grid or min(sizes, default=p + 2) < p + 2:
         for c in chromosomes:
             n = int(space.decode(c)[-1])  # off the grid: raises GridError
             if n < p + 2:
                 raise OracleError(f"decoded sample size {n} cannot fit {p} slopes plus intercept")
-            if misfit is not None:
-                raise misfit
     order = [j for j in range(p) if j + 1 not in tested] + [j - 1 for j in tested]
     # Each point's scalars in Python floats, the same IEEE operations as on
     # numpy's float64.

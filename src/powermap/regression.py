@@ -49,7 +49,7 @@ class TestSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in ("t_single", "f_joint"):
-            raise ValueError(f"unknown test kind {self.kind!r}")
+            raise ValueError(f"unknown test kind {self.kind!r:.80}")
         # Each message names one index or a count, never the whole tuple,
         # which a config file can make millions long.
         seen: set[int] = set()

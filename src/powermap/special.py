@@ -19,39 +19,28 @@ _TINY = 1e-300
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
-    # Continued fraction for the incomplete beta (modified Lentz).
+    # Continued fraction for the incomplete beta (modified Lentz): each
+    # iteration takes the even then the odd partial numerator through one
+    # update of c and d.
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
+    d = 1.0 / (_TINY if abs(d) < _TINY else d)
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            # Lentz's update; a d or c within _TINY of zero is set to _TINY.
+            d = 1.0 + aa * d
+            d = 1.0 / (_TINY if abs(d) < _TINY else d)
+            c = 1.0 + aa / c
+            c = _TINY if abs(c) < _TINY else c
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _TOL:
             return h
     raise NumericalError(

@@ -14,6 +14,8 @@ from powermap.config import load_run_config, resolved_config_dict
 from powermap.evaluate import score
 from powermap.io import load_dictionary_arrays, load_dictionary_json
 from powermap.knn import PredictorConfig
+from powermap.oracle import OracleError
+from powermap.special import NumericalError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -142,8 +144,11 @@ class TestLearn:
             ("master_seed", "master_seed", lambda: list(range(1_000_000))),
             ("master_seed", "master_seed", lambda: "x" * 5_000_000),
             ("oracle.test", "oracle", lambda: {"test": {"kind": "t_single", "tested_indices": [1] * 1_000_000}}),
+            ("oracle", "oracle", lambda: {"scheme": "x" * 5_000_000}),
+            ("predictor", "predictor", lambda: {"metric": "x" * 5_000_000}),
+            ("oracle.test", "oracle", lambda: {"test": {"kind": "x" * 5_000_000, "tested_indices": [1]}}),
         ],
-        ids=["long-list", "long-string", "many-duplicates"],
+        ids=["long-list", "long-string", "many-duplicates", "long-scheme", "long-metric", "long-kind"],
     )
     def test_long_bad_values_are_cut_in_messages(self, tmp_path, capsys, named, section, make):
         config = write_config(tmp_path, **{section: make()})
@@ -174,6 +179,7 @@ class TestLoadTimeModelChecks:
         [
             ("search_space.sample_size.lower", "search_space", {"sample_size": {"lower": 3, "upper": 200, "step": 5}}),
             ("oracle.scheme", "oracle", {"scheme": "experiment"}),
+            ("oracle.test.tested_indices", "oracle", {"test": {"kind": "t_single", "tested_indices": [3]}}),
         ],
     )
     def test_exits_2_naming_field(self, tmp_path, capsys, command, named, section, value):
@@ -232,6 +238,88 @@ class TestBruteForce:
         assert main(["brute-force", "-c", str(config), "--grid-budget", "3"]) == 2
         err = capsys.readouterr().err
         assert "20" in err and "budget" in err
+
+
+class TestExitCodes:
+    """Each documented exit code, reached through main: an `error:` line on
+    stderr, never a traceback."""
+
+    def test_missing_config_exits_4(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["learn", "-c", str(missing)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
+    def test_out_dir_that_is_a_file_exits_4(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main(["brute-force", "-c", str(write_config(tmp_path)), "--out-dir", str(blocker)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err
+
+    @pytest.mark.parametrize(
+        "command, target, error",
+        [("learn", "powermap.ga.run", OracleError), ("brute-force", "powermap.cli.brute_force_manifold", NumericalError)],
+    )
+    def test_runtime_failure_exits_3(self, tmp_path, capsys, monkeypatch, command, target, error):
+        def fail(*args, **kwargs):
+            raise error("simulated failure")
+
+        monkeypatch.setattr(target, fail)
+        assert main([command, "-c", str(write_config(tmp_path))]) == 3
+        assert capsys.readouterr().err == "error: simulated failure\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_learn_without_ga_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        data = json.loads(config.read_text())
+        del data["ga"]
+        config.write_text(json.dumps(data))
+        assert main(["learn", "-c", str(config)]) == 2
+        assert "error: ga: required section is missing" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--master-seed", "-1", "master_seed: must be >= 0, got -1"), ("--workers", "0", "worker_count: must be >= 1, got 0")],
+    )
+    def test_flag_out_of_range_exits_2_naming_field(self, tmp_path, capsys, flag, value, message):
+        assert main(["learn", "-c", str(write_config(tmp_path)), flag, value]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("reader", ["config", "export"])
+@pytest.mark.parametrize("fault", ["not-json", "long-integer"])
+def test_unreadable_json_exits_2_naming_the_file(tmp_path, capsys, reader, fault):
+    """Invalid JSON, or an integer literal beyond Python's 4,300-digit
+    conversion limit, is a validation error that names the file."""
+    config = write_config(tmp_path)
+    assert main(["brute-force", "-c", str(config)]) == 0
+    export = tmp_path / "out" / "run_dictionary.json"
+    target, number = (config, '"master_seed": 5,') if reader == "config" else (export, '"schema_version": 1,')
+    text = target.read_text()
+    assert text.count(number) == 1
+    target.write_text("{not json" if fault == "not-json" else text.replace(number, number[:-2] + "9" * 5000 + ","))
+    queries = tmp_path / "q.csv"
+    queries.write_text("theta_1,n\n0.3,40\n")
+    capsys.readouterr()
+    argv = (
+        ["learn", "-c", str(config)] if reader == "config"
+        else ["predict", "--dictionary", str(export), "--queries", str(queries), "--out", str(tmp_path / "p.csv")]
+    )
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {target}: " + ("not valid JSON" if fault == "not-json" else ""))
+    assert len(err.encode()) < 1024
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_unreachable_upper_bound_prints_a_note(tmp_path, capsys):
+    config = write_config(tmp_path, search_space={"coefficients": [{"lower": 0.1, "upper": 0.55, "step": 0.1}]})
+    assert main(["brute-force", "-c", str(config)]) == 0
+    err = capsys.readouterr().err
+    assert "note: theta_1 grid tops out at 0.5 (upper bound 0.55 is not reachable with step 0.1)" in err
 
 
 def test_export_metadata_names_command_and_queries(tmp_path):
@@ -358,6 +446,39 @@ class TestPredict:
         assert f"{queries}: line 3: field larger than field limit" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_blank_query_lines_are_skipped(self, tmp_path, brute_export):
+        outputs = []
+        for name, text in (("plain", "theta_1,n\n0.3,40\n0.25,50\n"), ("blank", "theta_1,n\n\n0.3,40\n\n0.25,50\n\n")):
+            queries, out = tmp_path / f"{name}.csv", tmp_path / f"{name}_pred.csv"
+            queries.write_text(text)
+            assert main([
+                "predict", "--dictionary", str(brute_export),
+                "--queries", str(queries), "--out", str(out),
+            ]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("theta_1,n\n0.3," + "x" * 100_000 + "\n", "line 2: could not convert string to float: 'xxx"),
+            (",".join(f"c{j}" for j in range(100_000)) + "\n0.3,40\n", "header ['c0', 'c1'"),
+        ],
+        ids=["long-field", "long-header"],
+    )
+    def test_long_query_content_is_cut_in_messages(self, tmp_path, brute_export, capsys, text, named):
+        queries = tmp_path / "q.csv"
+        queries.write_text(text)
+        out = tmp_path / "pred.csv"
+        assert main([
+            "predict", "--dictionary", str(brute_export),
+            "--queries", str(queries), "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"{queries}: {named}" in err
+        assert len(err.encode()) < 1024
+        assert not out.exists()
+
     def test_k_below_one_exits_2_without_queries(self, tmp_path, brute_export, capsys):
         queries = tmp_path / "q.csv"
         queries.write_text("theta_1,n\n")
@@ -395,6 +516,20 @@ class TestPredict:
             "--queries", str(queries), "--out", str(tmp_path / "pred.csv"),
         ]) == 2
         assert str(broken) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda entry: {k: v for k, v in entry.items() if k != "power"}, "entries[1].power: required field is missing"),
+            (lambda entry: 7, "entries[1]: expected an object, got 7"),
+        ],
+        ids=["no-power", "a-number"],
+    )
+    def test_malformed_entry_exits_2_naming_it(self, tmp_path, brute_export, capsys, make, message):
+        payload = json.loads(brute_export.read_text())
+        payload["entries"][1] = make(payload["entries"][1])
+        assert self._predict_from(tmp_path, payload) == 2
+        assert message in capsys.readouterr().err
 
     def test_off_grid_genes_exit_2(self, tmp_path, brute_export, capsys):
         payload = json.loads(brute_export.read_text())

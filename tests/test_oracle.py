@@ -99,6 +99,13 @@ class TestEstimatePower:
         with pytest.raises(ValueError, match="exceed"):
             estimate_power(Chromosome((0, 0)), space, t_config(10, tested=2), 1)
 
+    def test_experiment_scheme_validated_against_space(self):
+        space = point_space([0.1, 0.1], 50)
+        with pytest.raises(
+            ValueError, match=r"^scheme: the experiment scheme requires exactly 3 coefficients, got 2$"
+        ):
+            estimate_power(Chromosome((0, 0, 0)), space, t_config(10, scheme="experiment"), 1)
+
 
 class TestMonotoneCalibration:
     def test_power_increases_along_effect_and_sample_rays(self):
