@@ -16,12 +16,7 @@ from pathlib import Path
 
 from . import ga as ga_mod
 from . import io as io_mod
-from .evaluate import (
-    DEFAULT_GRID_BUDGET,
-    GridBudgetError,
-    brute_force_manifold,
-    score,
-)
+from .evaluate import DEFAULT_GRID_BUDGET, brute_force_manifold, score
 from .config import RunConfig, load_run_config, resolved_config_dict
 from .knn import METRICS, DictionaryIndex, PredictorConfig
 from .oracle import OracleError
@@ -74,12 +69,8 @@ def _predictor(args: argparse.Namespace) -> PredictorConfig:
 def _out_paths(config: RunConfig) -> tuple[Path, Path, Path]:
     directory = Path(config.output.directory)
     directory.mkdir(parents=True, exist_ok=True)
-    base = directory / config.output.prefix
-    return (
-        base.with_name(base.name + "_dictionary.csv"),
-        base.with_name(base.name + "_dictionary.json"),
-        base.with_name(base.name + "_report.json"),
-    )
+    names = ("dictionary.csv", "dictionary.json", "report.json")
+    return tuple(directory / f"{config.output.prefix}_{name}" for name in names)
 
 
 def _export_run(
@@ -250,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, GridBudgetError) as exc:  # bad input, or the grid budget guard rail
+    except ValueError as exc:  # bad input, an over-budget grid included
         _note(f"error: {exc}")
         return EXIT_VALIDATION
     except (OracleError, NumericalError) as exc:

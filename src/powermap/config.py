@@ -15,7 +15,7 @@ from typing import Any
 
 from .ga import GaConfig
 from .grid import SearchSpace
-from .io import FormatError, expect, field, read, read_json, section, space_from_dict, space_to_dict
+from .io import FormatError, expect, field, read, read_json, space_from_dict, space_to_dict
 from .knn import PredictorConfig
 from .oracle import OracleConfig, check_fit
 from .regression import TestSpec
@@ -49,11 +49,11 @@ class RunConfig:
 
 def build_run_config(data: dict[str, Any]) -> RunConfig:
     expect(data, "top level", dict)
-    space = space_from_dict(section(data, "", "search_space"))
-    oracle = section(data, "", "oracle")
+    space = space_from_dict(field(data, "", "search_space", dict))
+    oracle = field(data, "", "oracle", dict)
     oracle = read(
         OracleConfig, {**_ORACLE_DEFAULTS, **oracle}, "oracle",
-        test=read(TestSpec, section(oracle, "oracle", "test"), "oracle.test"),
+        test=read(TestSpec, field(oracle, "oracle", "test", dict), "oracle.test"),
     )
     p = space.n_coefficients
     try:
@@ -75,16 +75,16 @@ def build_run_config(data: dict[str, Any]) -> RunConfig:
     ):
         if value is not None and value < least:
             raise FormatError(f"{name}: must be >= {least}, got {value}")
-    ga = section(data, "", "ga", required=False)
+    ga = field(data, "", "ga", dict, None)
     return RunConfig(
         space=space,
         oracle=oracle,
         ga=None if ga is None else read(GaConfig, ga, "ga", master_seed=master_seed),
-        predictor=read(PredictorConfig, section(data, "", "predictor", required=False) or {}, "predictor"),
+        predictor=read(PredictorConfig, field(data, "", "predictor", dict, {}), "predictor"),
         master_seed=master_seed,
         oracle_seed=oracle_seed,
         worker_count=worker_count,
-        output=read(OutputConfig, section(data, "", "output", required=False) or {}, "output"),
+        output=read(OutputConfig, field(data, "", "output", dict, {}), "output"),
     )
 
 

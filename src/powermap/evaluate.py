@@ -32,7 +32,7 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
-class GridBudgetError(RuntimeError):
+class GridBudgetError(ValueError):
     """The requested grid exceeds the configured evaluation budget."""
 
 
@@ -105,10 +105,9 @@ def score(
 ) -> EvaluationReport:
     """Compare a learned dictionary against a reference that holds every
     grid point once, each given as (genes, powers): genes an (m, d) array of
-    grid indices.
+    grid indices, in any row order. A grid point the learned genes repeat
+    is a ValueError.
 
-    The learned genes must be distinct grid points in gene order, as
-    io.load_dictionary_arrays and PowerDictionary.arrays give them.
     rmse_seen_only covers the learned points; rmse_full_grid covers every
     grid point, filling the others with the predictor's k-NN prediction.
     Both are taken over vectors in grid order.
@@ -138,10 +137,15 @@ def score(
     position = np.ravel_multi_index(np.asarray(genes).T, counts)
     seen = np.zeros(size, dtype=bool)
     seen[position] = True
+    if np.count_nonzero(seen) < len(position):
+        raise ValueError("learned dictionary names a grid point more than once")
     candidate = np.empty(size)
     candidate[position] = powers
-    unseen = np.flatnonzero(~seen)
-    candidate[unseen] = DictionaryIndex(space, genes, powers).predict(
+    # The index takes the learned points in grid order, so that its ties
+    # break the same way whatever the order of the learned rows.
+    rows, unseen = np.flatnonzero(seen), np.flatnonzero(~seen)
+    index = DictionaryIndex(space, np.column_stack(np.unravel_index(rows, counts)), candidate[rows])
+    candidate[unseen] = index.predict(
         space.decode_many(np.column_stack(np.unravel_index(unseen, counts))),
         predictor.k,
         predictor.metric,

@@ -117,14 +117,6 @@ def column(rows: list, path: str, key: str, kind) -> list:
     return values
 
 
-def section(data: dict, path: str, key: str, kind=dict, required: bool = True):
-    """data[key], a JSON object (or list, by kind); None when it is absent
-    or null and not required."""
-    if data.get(key) is None and not required:
-        return None
-    return field(data, path, key, kind)
-
-
 def read(cls, data: Any, path: str, **given):
     """An instance of the dataclass cls from the JSON object at path.
 
@@ -157,7 +149,7 @@ def space_to_dict(space: SearchSpace) -> dict[str, Any]:
 
 def space_from_dict(data: dict[str, Any]) -> SearchSpace:
     path = "search_space"
-    coefficients = section(data, path, "coefficients", list)
+    coefficients = field(data, path, "coefficients", list)
     return read(
         SearchSpace,
         data,
@@ -165,7 +157,7 @@ def space_from_dict(data: dict[str, Any]) -> SearchSpace:
         coefficient_ranges=tuple(
             read(ParameterRange, r, f"{path}.coefficients[{j}]") for j, r in enumerate(coefficients)
         ),
-        sample_size_range=read(ParameterRange, section(data, path, "sample_size"), f"{path}.sample_size"),
+        sample_size_range=read(ParameterRange, field(data, path, "sample_size", dict), f"{path}.sample_size"),
     )
 
 
@@ -269,8 +261,8 @@ def _arrays_from_dict(payload: Any) -> tuple[SearchSpace, np.ndarray, np.ndarray
     version = field(payload, "", "schema_version", int)
     if version != SCHEMA_VERSION:
         raise FormatError(f"schema_version: unsupported {version}, expected {SCHEMA_VERSION}")
-    space = space_from_dict(section(payload, "", "search_space"))
-    entries = section(payload, "", "entries", list)
+    space = space_from_dict(field(payload, "", "search_space", dict))
+    entries = field(payload, "", "entries", list)
     genes = column(entries, "entries", "genes", tuple[int, ...])
     powers = _floats(column(entries, "entries", "power", float), "power")
     values = column(entries, "entries", "values", tuple[float, ...])
@@ -317,8 +309,7 @@ def _arrays_from_dict(payload: Any) -> tuple[SearchSpace, np.ndarray, np.ndarray
             if repeated[first]
             else f"entries[{first}]: power {float(powers[first])} outside [0, 1]"
         )
-    metadata = section(payload, "", "metadata", required=False) or {}
-    return space, ordered, powers[order], metadata
+    return space, ordered, powers[order], field(payload, "", "metadata", dict, {})
 
 
 def _floats(rows: list, key: str, width: int = 0) -> np.ndarray:

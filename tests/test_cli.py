@@ -289,6 +289,33 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section", ["ga", "predictor", "output", "metadata"])
+def test_null_section_exits_2_naming_it(tmp_path, capsys, monkeypatch, section):
+    """An explicit null is a mistyped section, not an absent one, in a
+    config and in an export alike."""
+    monkeypatch.chdir(tmp_path)  # the default output directory is relative
+    if section == "metadata":
+        assert main(["brute-force", "-c", str(write_config(tmp_path))]) == 0
+        export = tmp_path / "out" / "run_dictionary.json"
+        export.write_text(json.dumps({**json.loads(export.read_text()), "metadata": None}))
+        argv = ["evaluate", "--ga", str(export), "--brute", str(export)]
+    else:
+        argv = ["learn", "-c", str(write_config(tmp_path, **{section: None}))]
+    assert main(argv) == 2
+    assert f"{section}: expected an object, got null\n" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("prefix", ["", "."])
+def test_exports_land_inside_out_dir_whatever_the_prefix(tmp_path, monkeypatch, prefix):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out" / "d"
+    assert main(["learn", "-c", str(write_config(tmp_path)), "--out-dir", str(out), "--prefix", prefix]) == 0
+    names = ("dictionary.csv", "dictionary.json", "report.json")
+    assert sorted(path.name for path in out.iterdir()) == sorted(f"{prefix}_{name}" for name in names)
+    assert [path.name for path in (tmp_path / "out").iterdir()] == ["d"]
+
+
 @pytest.mark.parametrize("reader", ["config", "export"])
 @pytest.mark.parametrize("fault", ["not-json", "long-integer"])
 def test_unreadable_json_exits_2_naming_the_file(tmp_path, capsys, reader, fault):

@@ -119,6 +119,31 @@ class TestScore:
         assert got == want
         assert evaluate(ga, brute, space, k) == want
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_learned_row_order_does_not_matter(self, seed):
+        """The index breaks distance ties by grid order, not by the order of
+        the learned rows, so shuffled rows score like sorted ones."""
+        rng = np.random.default_rng(seed)
+        space = DESK.space
+        size = space.grid_size
+        brute = random_dictionary(space, range(size), rng.random(size)).arrays()
+        rows = np.sort(rng.choice(size, size=300, replace=False))
+        genes, powers = random_dictionary(space, rows, rng.random(300)).arrays()
+        shuffled = np.random.default_rng(0).permutation(len(powers))
+        sorted_report, shuffled_report = (
+            score((genes[order], powers[order]), brute, space, PredictorConfig(5), 300)
+            for order in (np.arange(len(powers)), shuffled)
+        )
+        assert shuffled_report == sorted_report
+
+    def test_repeated_learned_point_rejected(self):
+        space = tiny_space()
+        brute = random_dictionary(space, range(space.grid_size), np.full(space.grid_size, 0.5)).arrays()
+        genes, powers = random_dictionary(space, [0, 5], [0.25, 0.5]).arrays()
+        repeated = (np.vstack([genes, genes[:1]]), np.append(powers, 1 - powers[0]))
+        with pytest.raises(ValueError, match="names a grid point more than once"):
+            score(repeated, brute, space, PredictorConfig(1), 3)
+
     @pytest.mark.parametrize("fault", ["off-grid", "repeated"])
     def test_reference_must_cover_the_grid(self, fault):
         space = tiny_space()
@@ -189,8 +214,9 @@ class TestBruteForce:
 
     def test_budget_guard(self):
         space = tiny_space()
-        with pytest.raises(GridBudgetError, match=str(space.grid_size)):
+        with pytest.raises(GridBudgetError, match=str(space.grid_size)) as refused:
             brute_force_manifold(space, oracle_config(), 1, grid_budget=5)
+        assert isinstance(refused.value, ValueError)  # a refusal of the input, like every other
 
     def test_power_grows_with_sample_size(self):
         """Statistical sanity of the surface: along the n axis at the largest

@@ -281,6 +281,10 @@ class TestReproduce:
         offspring, offspring_fitness = reproduce(population, [0.5] * 6, 1.0, rng)
         assert len(offspring) == len(offspring_fitness) == 6
 
+    def test_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            reproduce([(0, 0), (1, 0)], [0.5], 1.0, np.random.default_rng(4))
+
 
 class TestMutate:
     def test_zero_probability_is_identity(self):
@@ -351,6 +355,18 @@ class TestCrossover:
         population = initialize_population(small_space(), 9, rng)
         assert len(crossover_best_two(population, list(rng.random(9)), rng)) == 9
 
+    @pytest.mark.parametrize(
+        "population, fitness, message",
+        [
+            ([(0, 1), (1, 0)], [0.5], "lengths differ"),
+            ([(0, 1)], [0.5], "at least two members"),
+            ([(0,), (1,)], [0.5, 0.2], "at least two genes"),
+        ],
+    )
+    def test_refusals(self, population, fitness, message):
+        with pytest.raises(ValueError, match=message):
+            crossover_best_two(population, fitness, np.random.default_rng(11))
+
 
 class TestPowerDictionary:
     def test_insert_only(self):
@@ -385,6 +401,14 @@ class _CountingOracle(PowerOracle):
         return super().evaluate_many(chromosomes)
 
 
+class _OverCountingOracle(PowerOracle):
+    """Counts one query more than it answers."""
+
+    def evaluate_many(self, chromosomes):
+        self.total_queries += 1
+        return super().evaluate_many(chromosomes)
+
+
 class TestRun:
     def test_dictionary_bounded_by_grid(self):
         space = SearchSpace(
@@ -407,6 +431,12 @@ class TestRun:
         assert report.oracle_queries == len(report.dictionary)
         assert report.oracle_queries <= 20 * (8 + 1)
         assert max(_CountingOracle.calls.values()) == 1  # no key queried twice
+
+    def test_memoization_check_catches_a_miscount(self, monkeypatch):
+        monkeypatch.setattr(powermap.ga, "PowerOracle", _OverCountingOracle)
+        config = GaConfig(population_size=4, iterations=1, master_seed=5)
+        with pytest.raises(AssertionError, match="memoization broken: \\d+ entries vs \\d+ oracle queries"):
+            run(small_space(), fast_oracle_config(), config)
 
     def test_telemetry_accounts_for_every_query(self):
         config = GaConfig(population_size=15, iterations=6, master_seed=8)
@@ -544,3 +574,7 @@ class TestGaConfigValidation:
     def test_mutation_prob_range(self):
         with pytest.raises(ValueError):
             GaConfig(population_size=2, iterations=1, mutation_prob=1.5)
+
+    def test_master_seed_floor(self):
+        with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+            GaConfig(population_size=2, iterations=1, master_seed=-1)

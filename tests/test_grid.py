@@ -31,6 +31,11 @@ class TestParameterRange:
         assert r.grid_count == 4
         assert r.top_value == pytest.approx(0.9)
 
+    def test_value_at_refuses_an_index_off_the_grid(self):
+        r = ParameterRange(0.0, 1.0, 0.3)
+        with pytest.raises(GridError, match="index 4 out of range for grid of 4 points"):
+            r.value_at(r.grid_count)
+
     def test_validation(self):
         with pytest.raises(GridError):
             ParameterRange(0.0, 1.0, 0.0)
@@ -71,6 +76,10 @@ class TestDecode:
         with pytest.raises(GridError, match="genes"):
             desk_space().decode(Chromosome((0, 0)))
 
+    def test_negative_gene_refused(self):
+        with pytest.raises(GridError, match="non-negative"):
+            Chromosome((-1, 0))
+
     def test_decode_many_equals_decode_bit_for_bit(self):
         space = desk_space()
         grid = list(space.enumerate_grid())
@@ -96,6 +105,10 @@ class TestSnap:
             space.snap([0.07, 0.5, 100])  # < 0.10 - 0.025
         with pytest.raises(GridError, match="sample size"):
             space.snap([0.2, 0.5, 1000])
+
+    def test_wrong_number_of_values(self):
+        with pytest.raises(GridError, match="expected 3 values, got shape \\(2,\\)"):
+            desk_space().snap([0.2, 100])
 
     def test_band_covers_dropped_remainder(self):
         # grid {0, 0.3, 0.6, 0.9}, upper 1.0: values up to 1.15 snap to index 3

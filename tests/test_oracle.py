@@ -180,6 +180,10 @@ class TestPowerOracle:
         with pytest.raises(ValueError):
             PowerOracle(space, t_config(20), -1)
 
+    def test_worker_count_floor(self):
+        with pytest.raises(ValueError, match="worker_count must be >= 1, got 0"):
+            PowerOracle(point_space([0.2], 50), t_config(20), 1, worker_count=0)
+
     @pytest.mark.parametrize("affinity", [True, False])
     def test_pool_capped_at_usable_cpus(self, monkeypatch, affinity):
         """The pool has min(worker_count, CPUs this process may use)

@@ -219,6 +219,11 @@ class TestRunTest:
         with pytest.raises(DegenerateFitError):
             run_test(fit, TestSpec((1,), "t_single"), alpha=0.05)
 
+    def test_degenerate_f(self):
+        fit = ols_fit(np.column_stack([np.ones(10), np.arange(10.0)]), np.arange(10.0) * 2.0)
+        with pytest.raises(DegenerateFitError, match="zero SSE"):
+            run_test(fit, TestSpec((1,), "f_joint"), alpha=0.05, restricted_sse=1.0)
+
 
 class TestGenerateSample:
     def test_vanishing_noise_recovers_regressor(self):
@@ -244,6 +249,10 @@ class TestGenerateSample:
         rng = np.random.default_rng(13)
         with pytest.raises(ValueError, match="experiment"):
             generate_mlr_sample(np.array([0.5]), 30, 1.0, "experiment", rng)
+
+    def test_unknown_scheme(self):
+        with pytest.raises(ValueError, match="unknown regressor scheme 'lattice'"):
+            generate_mlr_sample(np.array([0.5]), 30, 1.0, "lattice", np.random.default_rng(13))
 
     def test_sample_size_floor(self):
         rng = np.random.default_rng(14)

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -50,6 +51,24 @@ def test_sweep_scores_under_the_config_metric(tmp_path):
     assert f"{raw.rmse_full_grid:.6f}" != f"{normalized.rmse_full_grid:.6f}"
     assert row["rmse_full"] == f"{raw.rmse_full_grid:.6f}"
     assert row["rmse_seen"] == f"{raw.rmse_seen_only:.6f}"
+
+
+def test_bench_layers_run(tmp_path, monkeypatch):
+    """One repeat of each layer of scripts/bench.py, the per-layer timing
+    tool: every layer reads a positive, finite time, and the GA layer puts
+    back the oracle function it stubs. No BENCH file is written."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts its src/ first
+    bench = load_script("bench")
+    real = bench.oracle_mod.estimate_many
+    layers = {
+        **bench.oracle_layers(1),
+        **bench.ga_layer(1),
+        **bench.knn_and_io_layers(1, tmp_path),
+        **bench.end_to_end(1, tmp_path),
+    }
+    assert len(layers) == 20
+    assert all(math.isfinite(value) and value > 0 for value in layers.values()), layers
+    assert bench.oracle_mod.estimate_many is real
 
 
 def test_perfbench_tracer_installs(tmp_path):

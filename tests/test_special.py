@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from powermap import f_cdf, regularized_incomplete_beta, student_t_cdf
+from powermap import NumericalError, f_cdf, regularized_incomplete_beta, student_t_cdf
 
 
 def beta_quadrature(a, b, x):
@@ -55,6 +55,11 @@ class TestIncompleteBeta:
             regularized_incomplete_beta(1, -2, 0.5)
         with pytest.raises(ValueError):
             regularized_incomplete_beta(1, 1, 1.5)
+
+    def test_no_convergence_raises(self):
+        """Shapes this large need far more than the fraction's iteration cap."""
+        with pytest.raises(NumericalError, match="did not converge"):
+            regularized_incomplete_beta(1e6, 1e6, 0.5)
 
     @given(
         st.floats(0.05, 50, allow_nan=False),
