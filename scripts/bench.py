@@ -41,6 +41,14 @@ Layers:
                                   exported as JSON
   e2e.learn_s, e2e.brute_force_s  `powermap learn` / `brute-force` on
                                   configs/desk.json, in-process
+  cold.import_ms,                 a fresh interpreter imports powermap.cli
+  cold.import_peak_rss_mb         and builds its parser (perfbench's setup
+                                  probe): wall time to its first line of
+                                  output, and its peak RSS (VmHWM)
+  cold.critical_values_ms         the desk's 31 critical values, with
+                                  oracle.critical_value's cache cleared
+  cold.learn_s                    a fresh interpreter runs `powermap learn`
+                                  on configs/desk.json (E2E_REPEATS runs)
 
 and, outside the medians:
   tier1_s, tier1_passed           one run of the Tier-1 test command in a
@@ -244,6 +252,55 @@ def end_to_end(repeats: int, scratch: Path) -> dict:
     return out
 
 
+# Imports powermap.cli from the src/ in argv[1], builds the parser, then
+# prints the process's peak RSS in KiB.
+COLD_PROBE = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "import powermap.cli\n"
+    "powermap.cli.build_parser()\n"
+    "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')), flush=True)\n"
+)
+COLD_LEARN = "import sys; sys.path.insert(0, sys.argv[1]); from powermap.cli import main; sys.exit(main(sys.argv[2:]))"
+
+
+def cold_layers(repeats: int, e2e_repeats: int, scratch: Path) -> dict:
+    """What a fresh process pays before and for its work: the import probe
+    (after one unmeasured start that warms the file cache), the desk's
+    critical values from an empty cache, and a desk learn in a fresh
+    interpreter."""
+    src = str(ROOT / "src")
+    seconds, peaks = [], []
+    for i in range(repeats + 1):
+        start = time.perf_counter()
+        probe = subprocess.Popen([sys.executable, "-c", COLD_PROBE, src], stdout=subprocess.PIPE, text=True)
+        line = probe.stdout.readline()
+        elapsed = time.perf_counter() - start
+        probe.stdout.close()
+        if probe.wait() != 0:
+            raise SystemExit("a fresh interpreter could not import powermap.cli")
+        if i:
+            seconds.append(elapsed)
+            peaks.append(int(line) / 1024)
+    desk = load_run_config(DESK)
+    sizes, p, k = desk.space.sample_size_range, desk.space.n_coefficients, len(desk.oracle.test.tested_indices)
+    tests = [(k, int(sizes.value_at(i)) - p - 1, desk.oracle.alpha) for i in range(sizes.grid_count)]
+
+    def critical_values():
+        oracle_mod.critical_value.cache_clear()
+        for test in tests:
+            oracle_mod.critical_value(*test)
+
+    argv = ["learn", "-c", str(DESK), "--out-dir", str(scratch), "--prefix", "cold"]
+    learn = [sys.executable, "-c", COLD_LEARN, src, *argv]
+    return {
+        "cold.import_ms": 1e3 * statistics.median(seconds),
+        "cold.import_peak_rss_mb": statistics.median(peaks),
+        "cold.critical_values_ms": 1e3 * median_time(critical_values, repeats),
+        "cold.learn_s": median_time(lambda: subprocess.run(learn, capture_output=True, check=True), e2e_repeats),
+    }
+
+
 def tier1() -> tuple[float, int]:
     """Wall seconds and pass count of one Tier-1 run in a fresh interpreter."""
     path = os.environ.get("PYTHONPATH")
@@ -276,6 +333,7 @@ def main(argv=None) -> int:
             **ga_layer(REPEATS),
             **knn_and_io_layers(REPEATS, scratch),
             **end_to_end(E2E_REPEATS, scratch),
+            **cold_layers(REPEATS, E2E_REPEATS, scratch),
         }
     tier1_s, tier1_passed = tier1()
     payload = {

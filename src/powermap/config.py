@@ -10,6 +10,7 @@ sets explicitly wins, and overrides (the CLI flags) win over the file.
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -27,8 +28,15 @@ _ORACLE_DEFAULTS = {"nsim": 1000, "alpha": 0.05, "sigma2": 1.0}
 
 @dataclass(frozen=True)
 class OutputConfig:
+    """Where a run's exports go: directory/prefix_<name>. The prefix is a
+    file-name prefix, so that every export lands in the directory."""
+
     directory: str = "runs"
     prefix: str = "run"
+
+    def __post_init__(self) -> None:
+        if {os.sep, os.altsep} & set(self.prefix):
+            raise ValueError(f"prefix must not contain a path separator, got {self.prefix!r:.80}")
 
 
 @dataclass(frozen=True)

@@ -316,6 +316,25 @@ def test_exports_land_inside_out_dir_whatever_the_prefix(tmp_path, monkeypatch, 
     assert [path.name for path in (tmp_path / "out").iterdir()] == ["d"]
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("prefix", ["/abs/x", "../x", "a/"])
+def test_prefix_with_a_path_separator_exits_2(tmp_path, monkeypatch, capsys, source, prefix):
+    """A prefix that would put an export outside --out-dir, from --prefix or
+    from output.prefix, exits 2 naming it, and nothing is written."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    if prefix.startswith("/"):
+        prefix = str(tmp_path / prefix[1:])
+    if source == "flag":
+        argv = ["learn", "-c", str(write_config(tmp_path)), "--prefix", prefix]
+    else:
+        argv = ["learn", "-c", str(write_config(tmp_path, output={"prefix": prefix}))]
+    assert main(argv) == 2
+    assert f"output: prefix must not contain a path separator, got {prefix!r}" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.rglob("*")) == ["config.json", "work"]
+
+
 @pytest.mark.parametrize("reader", ["config", "export"])
 @pytest.mark.parametrize("fault", ["not-json", "long-integer"])
 def test_unreadable_json_exits_2_naming_the_file(tmp_path, capsys, reader, fault):
@@ -784,3 +803,32 @@ def test_import_leaves_numpy_random_unloaded():
         env={**os.environ, "PYTHONPATH": path},
     ).stdout.split()
     assert out != ["True", "True"]
+
+
+def test_import_leaves_the_pool_stack_unloaded():
+    """A fresh interpreter that imports the CLI and builds its parser loads
+    neither concurrent.futures nor multiprocessing, which only a fan-out
+    uses; a 2-worker evaluate_many after that still returns the 1-worker
+    values."""
+    code = (
+        "import json, sys\n"
+        "import powermap.cli\n"
+        "powermap.cli.build_parser()\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing'))\n"
+        "from powermap import OracleConfig, ParameterRange, PowerOracle, SearchSpace, TestSpec\n"
+        "space = SearchSpace((ParameterRange(0.1, 0.3, 0.1),), ParameterRange(30, 100, 10))\n"
+        "config = OracleConfig(50, 0.05, 1.0, TestSpec((1,), 't_single'))\n"
+        "values = []\n"
+        "for workers in (1, 2):\n"
+        "    with PowerOracle(space, config, 17, worker_count=workers) as oracle:\n"
+        "        values.append(oracle.evaluate_many(list(space.enumerate_grid())))\n"
+        "print(json.dumps({'loaded': loaded, 'values': values}))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout)
+    assert out["loaded"] == []
+    serial, fanned = out["values"]
+    assert len(serial) == 24 and fanned == serial

@@ -1,4 +1,5 @@
 import copy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,10 @@ from powermap import (
     ols_fit,
     run_test,
 )
+from powermap.config import load_run_config
 from powermap.regression import generate_mlr_sample
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # Two-sided single-slope t test, beta=0.3, sigma2=1, n=100, regressor drawn
 # iid standard normal: random-design power, the noncentral-t tail with
@@ -402,6 +406,76 @@ class TestBatchedKernel:
         for k, df in ((1, 98), (3, 46), (2, 1)):
             crit = oracle_mod.critical_value(k, df, 0.05)
             assert f_cdf(crit, k, df) == pytest.approx(0.95, abs=1e-12)
+
+
+def bisected_critical_value(k, df, alpha):
+    """The reference: bisection on f_cdf, from [0, 1] doubled upward, down
+    to two adjacent doubles."""
+    target = 1.0 - alpha
+    lo, hi = 0.0, 1.0
+    while f_cdf(hi, k, df) < target:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if f_cdf(mid, k, df) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
+def config_tests(name):
+    """(tested slopes, residual df, alpha) of every grid point of a shipped
+    config, in sample-size order."""
+    config = load_run_config(CONFIGS / name)
+    sizes, p = config.space.sample_size_range, config.space.n_coefficients
+    k = len(config.oracle.test.tested_indices)
+    return [(k, int(sizes.value_at(i)) - p - 1, config.oracle.alpha) for i in range(sizes.grid_count)]
+
+
+class TestCriticalValue:
+    @pytest.mark.parametrize(
+        "k, df, alpha",
+        config_tests("desk.json") + config_tests("interaction_study.json")
+        + [(1, 98, 0.05), (3, 46, 0.05), (2, 1, 0.05)],
+    )
+    def test_matches_bisection(self, k, df, alpha):
+        """Every (k, df) the shipped configs reach: the Newton solve lands
+        within 1e-12 of the value of the bisection's double."""
+        crit = oracle_mod.critical_value(k, df, alpha)
+        assert abs(crit - bisected_critical_value(k, df, alpha)) <= 1e-12 * crit
+
+    @pytest.mark.parametrize(
+        "alpha, most_calls", [(1e-6, 64), (0.001, 10), (0.01, 10), (0.05, 10), (0.1, 10), (0.5, 10), (0.9, 10)]
+    )
+    def test_safeguards_converge_off_the_configs(self, monkeypatch, alpha, most_calls):
+        """Small df, many tested slopes and alphas far from 0.05, where the
+        start is poorer and f_cdf coarser: the solve still ends within 10
+        f_cdf calls, within 1e-8 of the bisection's value (f_cdf's own
+        accuracy in the heavy tail of df = 1). At alpha = 1e-6, f_cdf's last
+        digits near 1 - alpha are flat or noisy at small df, so some solves
+        end on a bracket of two adjacent doubles, in no more calls than the
+        bisection takes."""
+        calls = []
+        monkeypatch.setattr(oracle_mod, "f_cdf", lambda *args: calls.append(args) or f_cdf(*args))
+        for k in (1, 2, 3, 10, 30):
+            for df in (1, 2, 3, 10, 100, 1000):
+                calls.clear()
+                crit = oracle_mod.critical_value.__wrapped__(k, df, alpha)
+                assert len(calls) <= most_calls, (k, df)
+                assert abs(crit - bisected_critical_value(k, df, alpha)) <= 1e-8 * crit, (k, df)
+
+    def test_few_f_cdf_calls_per_cold_value(self, monkeypatch):
+        """Each of the desk's 31 critical values, computed cold, takes at
+        most 8 f_cdf calls (the bisection took about 55)."""
+        calls = []
+        monkeypatch.setattr(oracle_mod, "f_cdf", lambda *args: calls.append(args) or f_cdf(*args))
+        oracle_mod.critical_value.cache_clear()
+        for k, df, alpha in config_tests("desk.json"):
+            calls.clear()
+            oracle_mod.critical_value(k, df, alpha)
+            assert 1 <= len(calls) <= 8, (k, df)
 
 
 class TestStreams:
