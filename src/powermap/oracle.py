@@ -59,7 +59,7 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Sequence
 
@@ -210,14 +210,37 @@ class _Points:
     tolerance: np.ndarray  # (points, 1): _PIVOT_TOL + (n + p + 2) * eps, experiment only
     df: np.ndarray  # (points, 1): residual degrees of freedom n - p - 1, as floats
     threshold: np.ndarray  # (points, 1): tested * F_{1-alpha}(tested, df)
+    # Arrays by block shape, shared by every slice: see experiment_arrays.
+    work: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __getitem__(self, at: slice) -> "_Points":
         """The points at a slice of their indices."""
         return _Points(
             self.scheme, self.order, self.tested, self.sigma,
             self.beta[:, at], self.groups[:, at], self.shapes[at], self.normals,
-            self.tolerance[at], self.df[at], self.threshold[at],
+            self.tolerance[at], self.df[at], self.threshold[at], self.work,
         )
+
+    def experiment_arrays(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Uninitialised moment and Gram arrays, (2, 3, 3, points, rows) and
+        (p+2, p+2, points, rows), for a block of these points and rows
+        replications under the experiment scheme. Every block of a call
+        (the blocks are slices of one _Points) gets the same ones for its
+        shape, so what a block leaves in them lasts until the next block.
+
+        They are a few hundred KB per block, so they are made once per
+        call, and as views of one allocation: glibc hands heap memory back
+        to the OS once the free space at its top passes twice the largest
+        chunk it has unmapped, and with the two arrays as separate chunks
+        a call's own smaller arrays crossed that line, so that each block
+        (or each one-block call) faulted ~150 pages back in.
+        """
+        shape = (len(self.df), rows)
+        if shape not in self.work:
+            size, cells = len(self.order) + 2, shape[0] * rows
+            moments, gram = np.split(np.empty((18 + size * size) * cells), [18 * cells])
+            self.work[shape] = moments.reshape(2, 3, 3, *shape), gram.reshape(size, size, *shape)
+        return self.work[shape]
 
 
 def check_fit(p: int, config: OracleConfig) -> None:
@@ -356,15 +379,15 @@ def _draw_moments(
     streams: Sequence[tuple[np.random.Generator, ...]], rows: int, points: _Points
 ) -> np.ndarray:
     """Experiment scheme: the moment matrices of the next rows replications,
-    (2, 3, 3, points, rows), one per half over (1, e, x2), the x1 = -1 half
-    first.
+    (2, 3, 3, points, rows) in the call's buffer, one per half over
+    (1, e, x2), the x1 = -1 half first.
 
     A half of m rows is D D^T for D = [[0, 0, sqrt(m)], [a, 0, u0],
     [b, c, u1]], with a and c its chi-square roots and u0, u1 and b its
     normals, summed over D's columns in order.
     """
     roots, normals = _draw(streams, rows, points)
-    moments = np.empty((2, 3, 3, len(streams), rows))
+    moments = points.experiment_arrays(rows)[0]
     for half, root in enumerate(np.sqrt(points.groups)):
         (a, c), (u0, u1, b) = roots[2 * half : 2 * half + 2], normals[3 * half : 3 * half + 3]
         moment = moments[half]
@@ -385,7 +408,7 @@ _EXPERIMENT_COLUMNS = ((0, 0), (0, 1), (2, 0), (2, 1), (1, 0))
 @lru_cache(maxsize=None)
 def _gram_index(order: tuple[int, ...]) -> np.ndarray:
     """Flat indices of the experiment design's Gram, slopes in the given
-    column order, into the (parity, u, v) moments summed by _gram, u and v
+    column order, into the (parity, u, v) sums written by _gram, u and v
     indexing (1, e, x2). A design column is variable u times x1**a, so the
     entry of columns (u, a) and (v, b) is the sum of x1**(a + b) u v, found
     at [(a + b) % 2, min(u, v), max(u, v)] since x1**2 = 1."""
@@ -399,20 +422,22 @@ def _gram_index(order: tuple[int, ...]) -> np.ndarray:
 
 def _gram(moments: np.ndarray, points: _Points) -> np.ndarray:
     """Gram matrices of the experiment designs [intercept, slopes in column
-    order, e], as a (5, 5, points, rows) array.
+    order, e], as a (5, 5, points, rows) array in the call's buffer.
 
     moments is (2, 3, 3, points, rows): per replication, each half's
     [[m, z^T], [z, C]], its row count, the sums z of (e, x2) and their cross
     products C, the x1 = -1 half first. Only entries on and above the
-    diagonal are read.
+    diagonal are read, and moments is overwritten.
     """
     minus, plus = moments
     # Sums over all rows of the products of (1, e, x2) times x1**0, then
-    # times x1.
-    summed = np.empty_like(moments)
-    np.add(plus, minus, out=summed[0])
-    np.subtract(plus, minus, out=summed[1])
-    return summed.reshape(-1, *moments.shape[-2:])[_gram_index(points.order)]
+    # times x1, in place of the halves.
+    total = plus + minus
+    np.subtract(plus, minus, out=plus)
+    minus[...] = total
+    index = _gram_index(points.order)
+    gram = points.experiment_arrays(moments.shape[-1])[1]
+    return np.take(moments.reshape(-1, *moments.shape[-2:]), index, axis=0, out=gram)
 
 
 def _experiment_factors(gram: np.ndarray, points: _Points) -> tuple[np.ndarray, np.ndarray]:

@@ -393,6 +393,23 @@ class TestBatchedKernel:
         assert not (degenerate | collinear).any()
         assert reject[0].tolist() == expected
 
+    def test_blocks_of_a_call_share_their_large_arrays(self):
+        """The experiment scheme's moment and Gram arrays are made once
+        per call: two blocks of one call's points get the same ones back,
+        and another call gets its own."""
+        space, config = interaction_space(), t_config(40, tested=3, scheme="experiment")
+        chromosomes = list(space.enumerate_grid())[:2]
+        points = oracle_mod._points(chromosomes, space, config)
+
+        def arrays(block, key):
+            moments = oracle_mod._draw_moments([streams(key)], 40, block)
+            return moments, oracle_mod._gram(moments, block)
+
+        first, second = arrays(points[0:1], (1, 0)), arrays(points[1:2], (1, 1))
+        assert all(a is b for a, b in zip(first, second))
+        other = arrays(oracle_mod._points(chromosomes, space, config)[0:1], (1, 0))
+        assert not any(a is b for a, b in zip(first, other))
+
     @pytest.mark.parametrize("space, config, genes", KERNEL_CASES)
     def test_chunking_does_not_change_values(self, space, config, genes, monkeypatch):
         """One replication per block, and all of nsim in one block."""
