@@ -135,10 +135,11 @@ def _f_quantile_start(k: int, df: int, alpha: float, log_beta: float) -> float:
     alphas.
 
     Paulson's approximation, from the Wilson-Hilferty cube roots of the
-    F's two chi-squares, unless the upper tail's leading term,
+    F's two chi-squares. The upper tail's leading term,
     1 - F(x) ~ y^(df/2) / ((df/2) B(k/2, df/2)) for y = df / (df + k x),
-    puts y below 1/4, where that term is the closer (small df, small
-    alpha) and Paulson's can have no real value. log_beta is
+    replaces it where that puts y below 1/4 (small df and alpha, where it
+    is the closer) or where Paulson's has no positive real value. Where
+    neither has one (alpha near 1), the start is 1. log_beta is
     log B(k/2, df/2).
     """
     y = math.exp((math.log(0.5 * alpha * df) + log_beta) / (0.5 * df))
@@ -379,8 +380,9 @@ def _draw_moments(
     streams: Sequence[tuple[np.random.Generator, ...]], rows: int, points: _Points
 ) -> np.ndarray:
     """Experiment scheme: the moment matrices of the next rows replications,
-    (2, 3, 3, points, rows) in the call's buffer, one per half over
-    (1, e, x2), the x1 = -1 half first.
+    (2, 3, 3, points, rows) in the call's moment array (see
+    _Points.experiment_arrays), one per half over (1, e, x2), the x1 = -1
+    half first.
 
     A half of m rows is D D^T for D = [[0, 0, sqrt(m)], [a, 0, u0],
     [b, c, u1]], with a and c its chi-square roots and u0, u1 and b its
@@ -422,7 +424,7 @@ def _gram_index(order: tuple[int, ...]) -> np.ndarray:
 
 def _gram(moments: np.ndarray, points: _Points) -> np.ndarray:
     """Gram matrices of the experiment designs [intercept, slopes in column
-    order, e], as a (5, 5, points, rows) array in the call's buffer.
+    order, e], as a (5, 5, points, rows) array in the call's Gram array.
 
     moments is (2, 3, 3, points, rows): per replication, each half's
     [[m, z^T], [z, C]], its row count, the sums z of (e, x2) and their cross

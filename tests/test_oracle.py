@@ -464,16 +464,19 @@ class TestCriticalValue:
         assert abs(crit - bisected_critical_value(k, df, alpha)) <= 1e-12 * crit
 
     @pytest.mark.parametrize(
-        "alpha, most_calls", [(1e-6, 64), (0.001, 10), (0.01, 10), (0.05, 10), (0.1, 10), (0.5, 10), (0.9, 10)]
+        "alpha, most_calls",
+        [(1e-6, 64), (0.001, 10), (0.01, 10), (0.05, 10), (0.1, 10), (0.5, 10), (0.9, 10), (0.99, 20)],
     )
     def test_safeguards_converge_off_the_configs(self, monkeypatch, alpha, most_calls):
         """Small df, many tested slopes and alphas far from 0.05, where the
         start is poorer and f_cdf coarser: the solve still ends within 10
-        f_cdf calls, within 1e-8 of the bisection's value (f_cdf's own
-        accuracy in the heavy tail of df = 1). At alpha = 1e-6, f_cdf's last
+        f_cdf calls (more at the two extreme alphas below), within 1e-8 of
+        the bisection's value (f_cdf's own accuracy in the heavy tail of
+        df = 1). At alpha = 1e-6, f_cdf's last
         digits near 1 - alpha are flat or noisy at small df, so some solves
         end on a bracket of two adjacent doubles, in no more calls than the
-        bisection takes."""
+        bisection takes. At alpha = 0.99 neither start formula has a value
+        for some (k, df), and the solve starts from 1."""
         calls = []
         monkeypatch.setattr(oracle_mod, "f_cdf", lambda *args: calls.append(args) or f_cdf(*args))
         for k in (1, 2, 3, 10, 30):
