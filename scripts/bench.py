@@ -21,6 +21,8 @@ Layers:
   oracle.fanout_ms.w*             PowerOracle.evaluate_many over the 20-point
                                   interaction-brute sub-box with 1 and 2
                                   workers, the pool's start included
+  oracle.interaction_minflt       minor page faults (ru_minflt) of one such
+                                  evaluate_many at 1 worker, median
   ga.bookkeeping_ms               ga.run on the desk config with the oracle's
                                   batch function, estimate_many, stubbed by a
                                   cheap monotone surface
@@ -41,6 +43,10 @@ Layers:
                                   exported as JSON
   e2e.learn_s, e2e.brute_force_s  `powermap learn` / `brute-force` on
                                   configs/desk.json, in-process
+  e2e.interaction_brute_ms        `powermap brute-force` on perfbench's
+                                  interaction-brute config (the 20-point
+                                  sub-box, oracle seed 10,001), in-process,
+                                  1 worker
   cold.import_ms,                 a fresh interpreter imports powermap.cli
   cold.import_peak_rss_mb         and builds its parser (perfbench's setup
                                   probe): wall time to its first line of
@@ -120,6 +126,18 @@ def median_time(func, repeats: int) -> float:
     return statistics.median(samples)
 
 
+def median_faults(func, repeats: int) -> float:
+    """Median minor page faults of this process over repeats calls, after
+    one warm-up call."""
+    func()
+    samples = []
+    for _ in range(repeats):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        func()
+        samples.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return statistics.median(samples)
+
+
 def interaction_subbox() -> tuple[SearchSpace, OracleConfig]:
     """The interaction-brute sub-box: interaction 0.05-0.50 at n = 50, 500."""
     space = SearchSpace(
@@ -151,6 +169,8 @@ def oracle_layers(repeats: int) -> dict:
         seconds = median_time(lambda: estimate_power(chromosome, space, config, 10_001), repeats)
         out[f"oracle.interaction_point_ms.n{n}"] = 1e3 * seconds
     subbox = list(space.enumerate_grid())
+    serial = PowerOracle(space, config, 10_001)
+    out["oracle.interaction_minflt"] = median_faults(lambda: serial.evaluate_many(subbox), repeats)
     for workers in (1, 2):
 
         def fan_out():
@@ -238,17 +258,43 @@ def knn_and_io_layers(repeats: int, scratch: Path) -> dict:
     }
 
 
-def end_to_end(repeats: int, scratch: Path) -> dict:
-    out = {}
-    for command in ("learn", "brute-force"):
-        argv = [command, "-c", str(DESK), "--out-dir", str(scratch), "--prefix", "bench"]
+def interaction_brute_config(scratch: Path) -> Path:
+    """perfbench's interaction-brute config at its --seed 1: the shipped
+    interaction study cut to the 20-point sub-box, the partial F test of the
+    interaction, oracle seed 10,001 and no GA section."""
+    config = json.loads(INTERACTION.read_text())
+    config.pop("_comment", None)
+    config.pop("ga", None)
+    coefficients = config["search_space"]["coefficients"]
+    coefficients[0] = {**coefficients[0], "lower": 0.2, "upper": 0.2}
+    coefficients[1] = {**coefficients[1], "lower": 0.6, "upper": 0.6}
+    config["search_space"]["sample_size"] = {"lower": 50, "upper": 500, "step": 450}
+    config["oracle"]["test"] = {"kind": "f_joint", "tested_indices": [3]}
+    config["oracle_seed"] = 10_001
+    path = scratch / "interaction_brute.json"
+    path.write_text(json.dumps(config, indent=1) + "\n")
+    return path
 
-        def once():
+
+def end_to_end(repeats: int, e2e_repeats: int, scratch: Path) -> dict:
+    """The desk learn and brute-force (e2e_repeats runs each), and the
+    interaction-brute round (repeats runs), in-process."""
+    interaction = str(interaction_brute_config(scratch))
+    runs = [
+        ("e2e.learn_s", 1.0, e2e_repeats, ["learn", "-c", str(DESK), "--prefix", "bench"]),
+        ("e2e.brute_force_s", 1.0, e2e_repeats, ["brute-force", "-c", str(DESK), "--prefix", "bench"]),
+        ("e2e.interaction_brute_ms", 1e3, repeats,
+         ["brute-force", "-c", interaction, "--workers", "1", "--prefix", "brute"]),
+    ]
+    out = {}
+    for name, unit, count, argv in runs:
+
+        def once(argv=[*argv, "--out-dir", str(scratch)]):
             with contextlib.redirect_stderr(io.StringIO()):
                 if cli_main(argv) != 0:
-                    raise SystemExit(f"powermap {command} failed")
+                    raise SystemExit(f"powermap {argv[0]} failed")
 
-        out[f"e2e.{command.replace('-', '_')}_s"] = median_time(once, repeats)
+        out[name] = unit * median_time(once, count)
     return out
 
 
@@ -332,7 +378,7 @@ def main(argv=None) -> int:
             **oracle_layers(REPEATS),
             **ga_layer(REPEATS),
             **knn_and_io_layers(REPEATS, scratch),
-            **end_to_end(E2E_REPEATS, scratch),
+            **end_to_end(REPEATS, E2E_REPEATS, scratch),
             **cold_layers(REPEATS, E2E_REPEATS, scratch),
         }
     tier1_s, tier1_passed = tier1()

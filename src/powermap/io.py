@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 from dataclasses import MISSING, fields
+from functools import cache
 from operator import itemgetter
 from types import GenericAlias
 from typing import Any, get_type_hints
@@ -117,6 +118,13 @@ def column(rows: list, path: str, key: str, kind) -> list:
     return values
 
 
+@cache
+def _hints(cls) -> dict[str, Any]:
+    """get_type_hints(cls), evaluated once per class: it compiles each string
+    annotation again on every call."""
+    return get_type_hints(cls)
+
+
 def read(cls, data: Any, path: str, **given):
     """An instance of the dataclass cls from the JSON object at path.
 
@@ -125,7 +133,7 @@ def read(cls, data: Any, path: str, **given):
     class's own checks name the path.
     """
     expect(data, path, dict)
-    hints = get_type_hints(cls)
+    hints = _hints(cls)
     values = {
         f.name: field(data, path, f.name, hints[f.name], f.default)
         for f in fields(cls)

@@ -36,20 +36,25 @@ chi-squares, k(k+1)/2 normals) and the untested slopes drop out (Sampson
 1974, JASA 69:682-689): tested row t of y's column is
 s B[k, t] + sum_{t <= i < k} beta_i B[i, t], and SSE = (s B[k, k])^2.
 
-The experiment scheme's design is a fixed linear map of two groups, the
-x1 = -1 half (n // 2 rows) and the x1 = +1 half, each of q = 2 variables
-(e, x2), so it keeps the Gram. With z = sqrt(m) u, a half's moments
-[[m, z^T], [z, W + z z^T / m]] of (1, e, x2) are D D^T for
-D = [[0, 0, sqrt(m)], [a, 0, u0], [b, c, u1]], where [[a, 0], [b, c]] is
-W's Bartlett factor. At n = 5 the x1 = -1 half has m - 1 = 1 < q (W
-singular), and c^2 ~ chi2(0) is an exact 0. The Gram is read off the sum and
-the difference of the halves' moments (x1**2 = 1) and factored by one
-Cholesky loop over its p+2 columns, each step vectorised over the block; its
-tested rows and the e pivot, transposed, are the block B above. It holds the
-noise, not y, so its conditioning depends on the design alone.
+Under either scheme the noise part of B does not depend on the design: e is
+independent of X, so below the factor L of X's Gram, [X, e]'s factor has the
+row [w, sqrt(Q)] with w = L^-1 X^T e ~ N(0, I_{p+1}) and
+Q = e^T e - |w|^2 ~ chi2(n-p-1), independent of w and of X. B is
+[[C, 0], [z, sqrt(Q)]]: C, L's bottom-right k x k block, the tested slopes'
+design, and z, w's last k entries.
 
-So both schemes share one draw routine, a point's chi-square roots and
-standard normals per replication, and one reading of F off B. Under both the
+The experiment scheme's design [1, x1, x2, x1 x2] has x1 = -1 on the first
+n // 2 rows and +1 on the rest, so its Gram is a fixed function of three
+numbers per half of m rows: m, sqrt(m) times the half's mean of x2, which is
+N(0, 1), and the sum of squares S of x2 about that mean, chi2(m-1) and
+independent of it. A replication draws those and the noise row alone
+(3 chi-squares, S for each half and Q, and 2 + k normals), builds the 4 x 4
+Gram of [1, slopes in column order] from the halves' sums of x2 and x2**2
+(x1**2 = 1), and factors it one Cholesky step per column, each step
+vectorised over the block, for C.
+
+So both schemes share one draw routine, a point's chi-squares and standard
+normals per replication, and one reading of F off B. Under both the
 estimand, random-design power, is that of drawn rows exactly, at O(p^2)
 draws per replication however large n is.
 """
@@ -59,7 +64,7 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Sequence
 
@@ -81,10 +86,11 @@ _BLOCK_ROWS = 1024
 # pivot d_j is at most (_PIVOT_TOL + Gram rounding) * G_jj. Here d_j / G_jj is
 # the squared sine of the angle between column j and the span of the j
 # columns before it. A Gram entry taken from a sample's rows sums n products
-# (the oracle's own sums of its moment factors round less), and the pivot
-# takes up to p+2 more steps, so rounding alone moves d_j by up to about
-# (n + p + 2) * eps * G_jj: an exactly duplicated column leaves a pivot of
-# that size, not 0, and an F built on it is rounding noise. The QR rule of
+# (the oracle forms each entry from the halves' drawn sums in a few
+# operations, and rounds less), and the pivot takes up to p more steps, so
+# rounding alone moves d_j by up to about (n + p + 2) * eps * G_jj: an
+# exactly duplicated column leaves a pivot of that size, not 0, and an F
+# built on it is rounding noise. The QR rule of
 # regression.ols_fit (R_jj^2 <= 1e-20 of the column's squared norm) sits
 # below that rounding and would let it through. _PIVOT_TOL = 1e-10 flags
 # angles under 1e-5 radians, where a pivot keeps at most ~6 correct digits
@@ -211,37 +217,14 @@ class _Points:
     tolerance: np.ndarray  # (points, 1): _PIVOT_TOL + (n + p + 2) * eps, experiment only
     df: np.ndarray  # (points, 1): residual degrees of freedom n - p - 1, as floats
     threshold: np.ndarray  # (points, 1): tested * F_{1-alpha}(tested, df)
-    # Arrays by block shape, shared by every slice: see experiment_arrays.
-    work: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __getitem__(self, at: slice) -> "_Points":
         """The points at a slice of their indices."""
         return _Points(
             self.scheme, self.order, self.tested, self.sigma,
             self.beta[:, at], self.groups[:, at], self.shapes[at], self.normals,
-            self.tolerance[at], self.df[at], self.threshold[at], self.work,
+            self.tolerance[at], self.df[at], self.threshold[at],
         )
-
-    def experiment_arrays(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Uninitialised moment and Gram arrays, (2, 3, 3, points, rows) and
-        (p+2, p+2, points, rows), for a block of these points and rows
-        replications under the experiment scheme. Every block of a call
-        (the blocks are slices of one _Points) gets the same ones for its
-        shape, so what a block leaves in them lasts until the next block.
-
-        They are a few hundred KB per block, so they are made once per
-        call, and as views of one allocation: glibc hands heap memory back
-        to the OS once the free space at its top passes twice the largest
-        chunk it has unmapped, and with the two arrays as separate chunks
-        a call's own smaller arrays crossed that line, so that each block
-        (or each one-block call) faulted ~150 pages back in.
-        """
-        shape = (len(self.df), rows)
-        if shape not in self.work:
-            size, cells = len(self.order) + 2, shape[0] * rows
-            moments, gram = np.split(np.empty((18 + size * size) * cells), [18 * cells])
-            self.work[shape] = moments.reshape(2, 3, 3, *shape), gram.reshape(size, size, *shape)
-        return self.work[shape]
 
 
 def check_fit(p: int, config: OracleConfig) -> None:
@@ -289,9 +272,10 @@ def _points(chromosomes: Sequence[Chromosome], space: SearchSpace, config: Oracl
         # B's diagonal, chi2(n-1-i) for i = p-k, ..., p, and its lower triangle
         groups, dfs, normals = n[None], n - 1 - np.arange(p - k, p + 1), k * (k + 1) // 2
     else:
-        # per half of m rows, a^2 ~ chi2(m-1) and c^2 ~ chi2(m-2), then u0, u1 and b
+        # per half of m rows S ~ chi2(m-1), then Q ~ chi2(n-p-1); per half
+        # sqrt(m) times the mean of x2, then z's k normals
         groups = (n + [[[0]], [[1]]]) // 2
-        dfs, normals = np.concatenate([m - [1, 2] for m in groups], axis=1), 6
+        dfs, normals = np.concatenate([*(groups - 1), n - p - 1], axis=1), 2 + k
     return _Points(
         scheme=config.scheme,
         order=tuple(order),
@@ -325,42 +309,37 @@ _tril_indices = lru_cache(maxsize=None)(np.tril_indices)
 def _draw(
     streams: Sequence[tuple[np.random.Generator, ...]], rows: int, points: _Points
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The chi-square roots and the standard normals of the next rows
-    replications of each point's generators, as (draws, points, rows) arrays.
-
-    A root is sqrt(2 standard_gamma(df / 2)), the bits of
-    sqrt(chisquare(df)); a zero shape gives an exact 0 and reads no bits.
-    """
-    roots = np.empty((len(streams), rows, points.shapes.shape[-1]))
+    """The chi-squares and the standard normals of the next rows replications
+    of each point's generators, as (draws, points, rows) arrays. A chi-square
+    is 2 standard_gamma(df / 2), the bits of chisquare(df)."""
+    chis = np.empty((len(streams), rows, points.shapes.shape[-1]))
     normals = np.empty((len(streams), rows, points.normals))
     for j, (normal, chi) in enumerate(streams):
-        chi.standard_gamma(points.shapes[j], out=roots[j])
+        chi.standard_gamma(points.shapes[j], out=chis[j])
         normal.standard_normal(out=normals[j])
-    roots *= 2.0
-    np.sqrt(roots, out=roots)
-    return roots.transpose(2, 0, 1), normals.transpose(2, 0, 1)
+    chis *= 2.0
+    return chis.transpose(2, 0, 1), normals.transpose(2, 0, 1)
 
 
 def _draw_factors(
     streams: Sequence[tuple[np.random.Generator, ...]], rows: int, points: _Points
 ) -> np.ndarray:
     """Normal scheme: the tested blocks B, (k+1, k+1, points, rows), of the
-    next rows replications: the chi-square roots, with n-1-(p-k), ..., n-1-p
-    degrees of freedom, on B's diagonal, and the normals in its strictly
-    lower triangle in np.tril_indices order."""
+    next rows replications: the roots of the chi-squares, with
+    n-1-(p-k), ..., n-1-p degrees of freedom, on B's diagonal, and the
+    normals in its strictly lower triangle in np.tril_indices order."""
     k = points.tested
-    roots, normals = _draw(streams, rows, points)
+    chis, normals = _draw(streams, rows, points)
     factor = np.zeros((k + 1, k + 1, len(streams), rows))
-    factor[np.diag_indices(k + 1)] = roots
+    factor[np.diag_indices(k + 1)] = np.sqrt(chis)
     factor[_tril_indices(k + 1, -1)] = normals
     return factor
 
 
 def _factor_rejections(factor: np.ndarray, points: _Points) -> tuple[np.ndarray, np.ndarray]:
     """Rejection indicators for a (k+1, k+1, points, rows) block of tested
-    blocks B, drawn or read off a factored Gram, and a mask of the
-    replications whose fit is degenerate: a zero pivot or a zero SSE. Only
-    B's lower triangle is read."""
+    blocks B, and a mask of the replications whose fit is degenerate: a
+    zero pivot or a zero SSE. Only B's lower triangle is read."""
     k, beta = points.tested, points.beta[-points.tested :]
     # Tested rows of y's column of R, s B[k, t] + b_t B[t, t] + ... + b_{k-1} B[k-1, t].
     rise = np.zeros(factor.shape[2:])
@@ -376,97 +355,62 @@ def _factor_rejections(factor: np.ndarray, points: _Points) -> tuple[np.ndarray,
     return rise * points.df > points.threshold * sse, degenerate
 
 
-def _draw_moments(
-    streams: Sequence[tuple[np.random.Generator, ...]], rows: int, points: _Points
-) -> np.ndarray:
-    """Experiment scheme: the moment matrices of the next rows replications,
-    (2, 3, 3, points, rows) in the call's moment array (see
-    _Points.experiment_arrays), one per half over (1, e, x2), the x1 = -1
-    half first.
+def _design_factor(means: np.ndarray, squares: np.ndarray, points: _Points) -> tuple[np.ndarray, np.ndarray]:
+    """Experiment scheme: a zeroed (k+1, k+1, points, rows) block of tested
+    blocks B with the design block C in its top-left k x k, and a mask of
+    the replications whose design is nearly collinear: a column's Cholesky
+    pivot at most points.tolerance times its G_jj.
 
-    A half of m rows is D D^T for D = [[0, 0, sqrt(m)], [a, 0, u0],
-    [b, c, u1]], with a and c its chi-square roots and u0, u1 and b its
-    normals, summed over D's columns in order.
+    means and squares are (2, points, rows): per half of m rows, the x1 = -1
+    half first, sqrt(m) times the mean of x2 and the sum of squares S of x2
+    about that mean. A half's sums of x2 and x2**2 are sqrt(m) means and
+    S + means**2. Design column c of (1, x1, x2, x1 x2) is x1**(c & 1)
+    x2**(c >> 1), so Gram entry (c, d) sums x2**((c >> 1) + (d >> 1)) over
+    both halves, or over the x1 = +1 half less the x1 = -1 half where
+    (c ^ d) & 1, since x1**2 = 1. The Gram of [1, slopes in column order] is
+    factored one right-looking Cholesky step per column, on its lower
+    triangle, each step vectorised over the block.
     """
-    roots, normals = _draw(streams, rows, points)
-    moments = points.experiment_arrays(rows)[0]
-    for half, root in enumerate(np.sqrt(points.groups)):
-        (a, c), (u0, u1, b) = roots[2 * half : 2 * half + 2], normals[3 * half : 3 * half + 3]
-        moment = moments[half]
-        moment[0, 0] = root * root
-        moment[0, 1] = moment[1, 0] = root * u0
-        moment[0, 2] = moment[2, 0] = root * u1
-        moment[1, 1] = a * a + u0 * u0
-        moment[1, 2] = moment[2, 1] = a * b + u0 * u1
-        moment[2, 2] = b * b + c * c + u1 * u1
-    return moments
-
-
-# The experiment design's columns [1, x1, x2, x1*x2, e], each as (u, a): the
-# product of x1**a with variable u of (1, e, x2).
-_EXPERIMENT_COLUMNS = ((0, 0), (0, 1), (2, 0), (2, 1), (1, 0))
-
-
-@lru_cache(maxsize=None)
-def _gram_index(order: tuple[int, ...]) -> np.ndarray:
-    """Flat indices of the experiment design's Gram, slopes in the given
-    column order, into the (parity, u, v) sums written by _gram, u and v
-    indexing (1, e, x2). A design column is variable u times x1**a, so the
-    entry of columns (u, a) and (v, b) is the sum of x1**(a + b) u v, found
-    at [(a + b) % 2, min(u, v), max(u, v)] since x1**2 = 1."""
-    columns = [_EXPERIMENT_COLUMNS[c] for c in (0, *(j + 1 for j in order), 4)]
-    index = np.array(
-        [[3 * (3 * ((a + b) % 2) + min(u, v)) + max(u, v) for v, b in columns] for u, a in columns]
+    minus, plus = points.groups
+    sums = np.sqrt(points.groups) * means
+    powers = squares + means * means
+    table = (
+        (minus + plus, sums[1] + sums[0], powers[1] + powers[0]),
+        (plus - minus, sums[1] - sums[0], powers[1] - powers[0]),
     )
-    index.flags.writeable = False  # shared by every caller through the cache
-    return index
-
-
-def _gram(moments: np.ndarray, points: _Points) -> np.ndarray:
-    """Gram matrices of the experiment designs [intercept, slopes in column
-    order, e], as a (5, 5, points, rows) array in the call's Gram array.
-
-    moments is (2, 3, 3, points, rows): per replication, each half's
-    [[m, z^T], [z, C]], its row count, the sums z of (e, x2) and their cross
-    products C, the x1 = -1 half first. Only entries on and above the
-    diagonal are read, and moments is overwritten.
-    """
-    minus, plus = moments
-    # Sums over all rows of the products of (1, e, x2) times x1**0, then
-    # times x1, in place of the halves.
-    total = plus + minus
-    np.subtract(plus, minus, out=plus)
-    minus[...] = total
-    index = _gram_index(points.order)
-    gram = points.experiment_arrays(moments.shape[-1])[1]
-    return np.take(moments.reshape(-1, *moments.shape[-2:]), index, axis=0, out=gram)
-
-
-def _experiment_factors(gram: np.ndarray, points: _Points) -> tuple[np.ndarray, np.ndarray]:
-    """Experiment scheme: the tested blocks B of a (p+2, p+2, points, rows)
-    block of Gram matrices, in _draw_factors' layout, and a mask of the
-    replications whose design is nearly collinear: a slope column within
-    _PIVOT_TOL of the span of the columns before it.
-
-    Factors the block in place, right-looking: step j leaves row j of the
-    Cholesky factor R in gram[j, j:] and the Schur complement in
-    gram[j+1:, j+1:]. The last pivot, e's, gets its root too (0 where
-    rounding left it negative, a zero SSE), and B is R's bottom-right
-    (k+1) x (k+1) block transposed, a view of gram.
-    """
-    size = len(gram)
-    limit = points.tolerance[..., None] * np.diagonal(gram)
-    collinear = np.zeros(gram.shape[2:], dtype=bool)
-    for j in range(size - 1):
-        bad = gram[j, j] <= limit[..., j]
+    columns = (0, *(j + 1 for j in points.order))
+    gram = [[table[(c ^ d) & 1][(c >> 1) + (d >> 1)] for d in columns[: i + 1]] for i, c in enumerate(columns)]
+    size, limits = len(columns), [points.tolerance * gram[j][j] for j in range(len(columns))]
+    collinear = np.zeros(means.shape[1:], dtype=bool)
+    for j in range(size):
+        bad = gram[j][j] <= limits[j]
         collinear |= bad
         # A collinear row is redrawn; any positive pivot keeps it finite.
-        gram[j, j] = np.sqrt(np.where(bad, 1.0, gram[j, j]))
-        gram[j, j + 1 :] /= gram[j, j]
-        gram[j + 1 :, j + 1 :] -= gram[j, j + 1 :, None] * gram[j, None, j + 1 :]
-    gram[-1, -1] = np.sqrt(np.maximum(gram[-1, -1], 0.0))
-    tested = size - 1 - points.tested
-    return gram[tested:, tested:].swapaxes(0, 1), collinear
+        gram[j][j] = np.sqrt(np.where(bad, 1.0, gram[j][j]))
+        for i in range(j + 1, size):
+            gram[i][j] = gram[i][j] / gram[j][j]
+            for t in range(j + 1, i + 1):
+                gram[i][t] = gram[i][t] - gram[i][j] * gram[t][j]
+    k = points.tested
+    factor = np.zeros((k + 1, k + 1, *collinear.shape))
+    for i in range(k):
+        for t in range(i + 1):
+            factor[i, t] = gram[size - k + i][size - k + t]
+    return factor, collinear
+
+
+def _draw_design_factors(
+    streams: Sequence[tuple[np.random.Generator, ...]], rows: int, points: _Points
+) -> tuple[np.ndarray, np.ndarray]:
+    """Experiment scheme: the tested blocks B of the next rows replications,
+    in _draw_factors' layout, and _design_factor's collinear mask. A
+    replication's chi-squares are S for each half, then Q; its normals are
+    sqrt(m) times the mean of x2 for each half, then z."""
+    chis, normals = _draw(streams, rows, points)
+    factor, collinear = _design_factor(normals[:2], chis[:2], points)
+    factor[-1, :-1] = normals[2:]
+    factor[-1, -1] = np.sqrt(chis[2])
+    return factor, collinear
 
 
 def _replications(
@@ -475,7 +419,7 @@ def _replications(
     """Rejection indicators and degenerate mask, (points, rows), of the next rows replications."""
     if points.scheme == "normal":
         return _factor_rejections(_draw_factors(streams, rows, points), points)
-    factor, collinear = _experiment_factors(_gram(_draw_moments(streams, rows, points), points), points)
+    factor, collinear = _draw_design_factors(streams, rows, points)
     reject, degenerate = _factor_rejections(factor, points)
     return reject, degenerate | collinear
 
@@ -526,10 +470,10 @@ def estimate_power(
     one of estimate_many.
 
     Deterministic in (chromosome, config, master_seed); always an exact
-    multiple of 1 / nsim. A replication reads its test off its design's
-    Cholesky factor: under the normal scheme off the drawn block of the
-    tested slopes and the noise, under the experiment scheme off the
-    factored Gram matrix.
+    multiple of 1 / nsim. A replication reads its test off the block of its
+    design's Cholesky factor for the tested slopes and the noise: under the
+    normal scheme drawn whole, under the experiment scheme with the tested
+    slopes' part factored from the Gram of the halves' drawn sums.
 
     A degenerate replication is re-drawn, at most _MAX_REDRAWS times, from the
     streams keyed on (master_seed, genes, row, attempt). Degenerate means an

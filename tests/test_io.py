@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import powermap.io as io_mod
 from powermap import Chromosome, ParameterRange, PowerDictionary, SearchSpace
 from powermap.cli import main
+from powermap.config import load_run_config
 from powermap.io import (
     FormatError,
     export_dictionary_csv,
@@ -277,3 +279,22 @@ class TestQueriesCsv:
         qpath.write_text("")
         with pytest.raises(FormatError, match="empty"):
             load_queries_csv(qpath, sample_space())
+
+
+class TestTypeHints:
+    def test_evaluated_once_per_class(self, monkeypatch):
+        """io.read evaluates a dataclass's type hints once, however many
+        objects of it are read: two config loads, each reading several
+        ParameterRanges, evaluate each class's hints once."""
+        calls = []
+        real = io_mod.get_type_hints
+        monkeypatch.setattr(io_mod, "get_type_hints", lambda cls: calls.append(cls.__name__) or real(cls))
+        io_mod._hints.cache_clear()
+        try:
+            path = Path(__file__).resolve().parent.parent / "configs" / "interaction_study.json"
+            assert load_run_config(path) == load_run_config(path)
+        finally:
+            io_mod._hints.cache_clear()
+        assert sorted(calls) == [
+            "GaConfig", "OracleConfig", "OutputConfig", "ParameterRange", "PredictorConfig", "SearchSpace", "TestSpec",
+        ]

@@ -345,19 +345,19 @@ KERNEL_CASES = [
 EXPERIMENT_CASES = [case for case in KERNEL_CASES if case[1].scheme == "experiment"]
 
 
-def row_moments(X, noise, groups):
-    """Experiment scheme: each half's moment matrix from one sample's rows,
-    as (2, 3, 3): the cross products of (1, e, x2), so the half's row count
-    m, the sums z of e and x2, and their cross products C, the x1 = -1 half
-    first."""
+def row_halves(X, groups):
+    """Experiment scheme: each half's sqrt(m) times the mean of x2, and its
+    sum of squares of x2 about that mean, from one sample's rows, as two
+    (2,) arrays, the x1 = -1 half first."""
     assert (X[:, 1] == np.repeat([-1.0, 1.0], groups)).all()
-    columns = np.column_stack([np.ones(len(X)), noise, X[:, 2]])
-    return np.stack([part.T @ part for part in np.split(columns, groups[:1])])
+    halves = np.split(X[:, 2], groups[:1])
+    means = [np.sqrt(len(half)) * half.mean() for half in halves]
+    return np.array(means), np.array([np.sum((half - half.mean()) ** 2) for half in halves])
 
 
 def factor_block(X, noise, point):
-    """Normal scheme: the tested block of one sample's factor, the bottom
-    right (k+1) x (k+1) of the Cholesky factor of the Gram of its design
+    """The tested block of one sample's factor, the bottom right
+    (k+1) x (k+1) of the Cholesky factor of the Gram of its design
     [1, slopes in column order, e]."""
     design = np.column_stack([X[:, [0, *(j + 1 for j in point.order)]], noise])
     return np.linalg.cholesky(design.T @ design)[-point.tested - 1 :, -point.tested - 1 :]
@@ -367,48 +367,38 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("space, config, genes", KERNEL_CASES)
     def test_equals_scalar_loop(self, space, config, genes):
         """Each replication's decision from its rows, through the kernel, is
-        ols_fit + run_test's on the same rows: from the rows' moments under
-        the experiment scheme, from the tested block of the rows' exact
-        factor under the normal scheme."""
+        ols_fit + run_test's on the same rows, read off the tested block of
+        the rows' exact factor. Under the experiment scheme the block's
+        design part C comes from the halves' means and sums of squares
+        through _design_factor, within 1e-9 of the exact C."""
         c = Chromosome(genes)
         point = oracle_mod._points([c], space, config)
         beta, n = decode_params(space, c)
         rng = np.random.default_rng(np.random.SeedSequence((7, *genes)))
-        samples, expected = [], []
+        samples, halves, expected = [], [], []
         for _ in range(300):
             # generate_mlr_sample draws the noise first: a copy of the
             # stream gives the sample's e without rounding.
             noise = copy.deepcopy(rng).standard_normal(n)
             X, y = generate_mlr_sample(beta, n, config.sigma2, config.scheme, rng)
-            if config.scheme == "normal":
-                samples.append(factor_block(X, noise, point))
-            else:
-                samples.append(row_moments(X, noise, point.groups[:, 0, 0]))
+            samples.append(factor_block(X, noise, point))
+            if config.scheme == "experiment":
+                halves.append(row_halves(X, point.groups[:, 0, 0]))
             expected.append(scalar_reject(X, y, config))
         block = np.stack(samples, axis=-1)[..., None, :]
         collinear = False
         if config.scheme == "experiment":
-            block, collinear = oracle_mod._experiment_factors(oracle_mod._gram(block, point), point)
+            k = point.tested
+            means, squares = (np.stack(part, axis=-1)[:, None, :] for part in zip(*halves))
+            design, collinear = oracle_mod._design_factor(means, squares, point)
+            scale = np.abs(block[:k, :k]).max(axis=(0, 1))
+            assert (np.abs(design[:k, :k] - block[:k, :k]) <= 1e-9 * scale).all()
+            assert not design[k:].any() and not design[:, k:].any()
+            design[k] = block[k]
+            block = design
         reject, degenerate = oracle_mod._factor_rejections(block, point)
         assert not (degenerate | collinear).any()
         assert reject[0].tolist() == expected
-
-    def test_blocks_of_a_call_share_their_large_arrays(self):
-        """The experiment scheme's moment and Gram arrays are made once
-        per call: two blocks of one call's points get the same ones back,
-        and another call gets its own."""
-        space, config = interaction_space(), t_config(40, tested=3, scheme="experiment")
-        chromosomes = list(space.enumerate_grid())[:2]
-        points = oracle_mod._points(chromosomes, space, config)
-
-        def arrays(block, key):
-            moments = oracle_mod._draw_moments([streams(key)], 40, block)
-            return moments, oracle_mod._gram(moments, block)
-
-        first, second = arrays(points[0:1], (1, 0)), arrays(points[1:2], (1, 1))
-        assert all(a is b for a, b in zip(first, second))
-        other = arrays(oracle_mod._points(chromosomes, space, config)[0:1], (1, 0))
-        assert not any(a is b for a, b in zip(first, other))
 
     @pytest.mark.parametrize("space, config, genes", KERNEL_CASES)
     def test_chunking_does_not_change_values(self, space, config, genes, monkeypatch):
@@ -557,9 +547,8 @@ def few_rows_space():
 
 # Mixed batches, each value the one estimate_power gives for its point alone
 # (master seed 9): under the normal scheme since it draws the tested block of
-# the factor, under the experiment scheme since before evaluate_many batched
-# its points (slope 3) or before the schemes shared one draw routine (the
-# other tests).
+# the factor, under the experiment scheme since it draws the halves' sums and
+# the noise block.
 BATCHES = [
     pytest.param(
         desk_space(), t_config(200),
@@ -573,27 +562,27 @@ BATCHES = [
     ),
     pytest.param(
         small_n_space(), OracleConfig(200, 0.05, 1.0, TestSpec((3,), "f_joint"), "experiment"),
-        {(0, 0, 0, 0): 0.03, (0, 0, 2, 0): 0.065, (0, 0, 1, 1): 0.48, (0, 0, 2, 1): 0.91},
+        {(0, 0, 0, 0): 0.05, (0, 0, 2, 0): 0.085, (0, 0, 1, 1): 0.49, (0, 0, 2, 1): 0.9},
         id="experiment-n5-n50",
     ),
     pytest.param(
         few_rows_space(), OracleConfig(200, 0.05, 1.0, TestSpec((1,), "t_single"), "experiment"),
-        {(1, 0, 2, 0): 0.05, (0, 1, 1, 1): 0.055, (1, 1, 0, 2): 0.115, (0, 0, 1, 45): 0.295, (1, 1, 2, 45): 1.0},
+        {(1, 0, 2, 0): 0.03, (0, 1, 1, 1): 0.045, (1, 1, 0, 2): 0.1, (0, 0, 1, 45): 0.27, (1, 1, 2, 45): 0.995},
         id="experiment-slope-1",
     ),
     pytest.param(
         few_rows_space(), OracleConfig(200, 0.05, 1.3, TestSpec((2,), "t_single"), "experiment"),
-        {(1, 0, 2, 0): 0.035, (0, 1, 1, 1): 0.095, (1, 1, 0, 2): 0.115, (0, 0, 1, 45): 0.415, (1, 1, 2, 45): 0.94},
+        {(1, 0, 2, 0): 0.015, (0, 1, 1, 1): 0.09, (1, 1, 0, 2): 0.1, (0, 0, 1, 45): 0.455, (1, 1, 2, 45): 0.94},
         id="experiment-slope-2",
     ),
     pytest.param(
         few_rows_space(), OracleConfig(200, 0.05, 1.0, TestSpec((2, 3), "f_joint"), "experiment"),
-        {(1, 0, 2, 0): 0.04, (0, 1, 1, 1): 0.105, (1, 1, 0, 2): 0.11, (0, 0, 1, 45): 0.71, (1, 1, 2, 45): 0.99},
+        {(1, 0, 2, 0): 0.025, (0, 1, 1, 1): 0.11, (1, 1, 0, 2): 0.09, (0, 0, 1, 45): 0.695, (1, 1, 2, 45): 0.995},
         id="experiment-slopes-2-3",
     ),
     pytest.param(
         few_rows_space(), OracleConfig(200, 0.05, 1.0, TestSpec((1, 2, 3), "f_joint"), "experiment"),
-        {(1, 0, 2, 0): 0.04, (0, 1, 1, 1): 0.1, (1, 1, 0, 2): 0.16, (0, 0, 1, 45): 0.765, (1, 1, 2, 45): 1.0},
+        {(1, 0, 2, 0): 0.04, (0, 1, 1, 1): 0.105, (1, 1, 0, 2): 0.16, (0, 0, 1, 45): 0.785, (1, 1, 2, 45): 0.995},
         id="experiment-all-slopes",
     ),
 ]
@@ -668,9 +657,31 @@ def exact_interaction_power(beta3, n, sigma2, alpha):
     return float(wp @ stats.ncf.sf(stats.f.isf(alpha, 1, df), 1, df, lam) @ wm)
 
 
+def design_average_power(betas, n, test, sigma2, alpha, designs=20_000):
+    """Random-design power of a test of the tested slopes under the
+    experiment scheme, and its standard error: scipy's conditional power
+    averaged over designs drawn as rows by generate_mlr_sample. Given its
+    design X, the F statistic is noncentral F(k, n-4) with
+    lambda = beta_T^T V_T^-1 beta_T / sigma2, V_T the tested block of
+    (X^T X)^-1, the OLS covariance over sigma2. At lambda = 0 the tail is
+    stats.f.sf's: scipy 1.17.1's ncf.sf(2.70, 3, 96, 0.0) returns -0.95."""
+    rng = np.random.default_rng(np.random.SeedSequence((31, n)))
+    X = np.stack([generate_mlr_sample(betas, n, sigma2, "experiment", rng)[0] for _ in range(designs)])
+    tested = list(test.tested_indices)
+    covariance = np.linalg.inv(X.transpose(0, 2, 1) @ X)[:, tested][:, :, tested]
+    beta = np.asarray(betas)[[j - 1 for j in tested]]
+    lam = np.einsum("i,dij,j->d", beta, np.linalg.inv(covariance), beta) / sigma2
+    k, df = len(tested), n - len(betas) - 1
+    critical = stats.f.isf(alpha, k, df)
+    tail = np.full(designs, stats.f.sf(critical, k, df))
+    live = lam > 0
+    tail[live] = stats.ncf.sf(critical, k, df, lam[live])
+    return tail.mean(), tail.std(ddof=1) / np.sqrt(designs)
+
+
 LAW_NSIM = 200_000
-# Nine law checks, each two-sided at 4 SE (a normal tail of 6.3e-5): a
-# sampler with the right law fails any of them with probability under 6e-4.
+# Thirteen law checks, each two-sided at 4 SE (a normal tail of 6.3e-5): a
+# sampler with the right law fails any of them with probability under 1e-3.
 LAW_BAND = 4.0
 INTERACTION = TestSpec((3,), "f_joint")
 LAW_POINTS = [
@@ -703,6 +714,25 @@ class TestSamplerLaw:
         estimate = estimate_power(Chromosome((0,) * (len(betas) + 1)), point_space(betas, n), config, 5)
         assert abs(estimate - exact) <= LAW_BAND * np.sqrt(exact * (1 - exact) / LAW_NSIM)
 
+    @pytest.mark.parametrize(
+        "betas, n, test",
+        [
+            pytest.param([0.3, 0.6, 0.3], 55, TestSpec((1,), "t_single"), id="t-condition"),
+            pytest.param([0.2, 0.25, 0.4], 60, TestSpec((2,), "t_single"), id="t-measure"),
+            pytest.param([0.2, 0.15, 0.3], 63, TestSpec((2, 3), "f_joint"), id="f-measure-interaction"),
+            pytest.param([0.2, 0.15, 0.25], 50, TestSpec((1, 2, 3), "f_joint"), id="f-all-slopes"),
+        ],
+    )
+    def test_experiment_matches_design_average(self, betas, n, test):
+        """Experiment scheme, tested slopes other than the interaction alone:
+        the reference averages over designs drawn as rows, so it shares no
+        sums with the kernel."""
+        config = OracleConfig(LAW_NSIM, 0.05, 1.0, test, "experiment")
+        estimate = estimate_power(Chromosome((0,) * (len(betas) + 1)), point_space(betas, n), config, 5)
+        reference, reference_se = design_average_power(betas, n, test, 1.0, 0.05)
+        se = np.sqrt(reference * (1 - reference) / LAW_NSIM + reference_se**2)
+        assert abs(estimate - reference) <= LAW_BAND * se
+
     def test_singular_wishart_half_matches_scalar_path(self):
         """Experiment scheme at n = 5: the x1 = -1 half has m - 1 = 1 < q = 2
         and a singular Wishart, and chi2(1) has no smooth density for the
@@ -717,22 +747,19 @@ class TestSamplerLaw:
         assert abs(estimate - reference) <= LAW_BAND * se
 
 
-def _edited_moments(keys, edit):
-    """Experiment scheme: wrap the Gram kernel so that the replications whose
-    first half's sum of e is in keys (all of them, for None) have their
-    moment matrices changed by edit, as if their rows had been: a
-    (2, 3, 3, hits) array over (1, e, x2)."""
-    real = oracle_mod._gram
+def _constant_halves(keys, levels):
+    """Experiment scheme: wrap the design kernel so that the replications
+    whose first drawn normal, sqrt(m) times the x1 = -1 half's mean of x2,
+    is in keys (all of them, for None) have x2 equal to levels[h] on every
+    row of half h, as if their rows had been: that mean, and S = 0."""
+    real = oracle_mod._design_factor
 
-    def broken(moments, point):
-        moments = moments.copy()
-        hit = np.isin(moments[0, 0, 1], keys) if keys is not None else slice(None)
-        edited = moments[..., hit]
-        edit(edited)
-        moments[..., hit] = edited
-        return real(moments, point)
+    def broken(means, squares, point):
+        hit = np.isin(means[0], keys) if keys is not None else True
+        means = np.where(hit, np.sqrt(point.groups) * np.reshape(levels, (2, 1, 1)), means)
+        return real(means, np.where(hit, 0.0, squares), point)
 
-    return "_gram", broken
+    return "_design_factor", broken
 
 
 def _edited_factors(keys, pivot, value):
@@ -764,24 +791,13 @@ def _zero_tested_pivot(keys):
 def _measure_times_condition(keys):
     """Experiment scheme: the measure x2 = 0.7 x1 on every row, so x2 is
     collinear with x1 and x1 * x2 with the intercept, up to Gram rounding."""
-
-    def edit(m):
-        for half, sign in enumerate((-0.7, 0.7)):
-            m[half, 2] = sign * m[half, 0]
-            m[half, :, 2] = sign * m[half, :, 0]
-
-    return _edited_moments(keys, edit)
+    return _constant_halves(keys, (-0.7, 0.7))
 
 
 def _constant_measure(keys):
     """Experiment scheme: the measure x2 = 0.7 on every row, so x2 is
     collinear with the intercept and x1 * x2 with x1, up to Gram rounding."""
-
-    def edit(m):
-        m[:, 2] = 0.7 * m[:, 0]
-        m[:, :, 2] = 0.7 * m[:, :, 0]
-
-    return _edited_moments(keys, edit)
+    return _constant_halves(keys, (0.7, 0.7))
 
 
 def experiment_case(nsim):
@@ -794,17 +810,14 @@ def redrawn_case(breaker, space, config, genes, seed, rows=(3, 17, 40)):
     """The kernel broken at the given replications of one point, as the
     seam's name and its wrapper, and that point's estimate when each of them
     is replaced by attempt 1 on its own streams. The breaker wraps the seam
-    of the point's scheme, _draw_factors or _gram, and finds the rows by a
-    value drawn for them."""
+    of the point's scheme, _draw_factors or _design_factor, and finds the
+    rows by their first drawn normal."""
     point = oracle_mod._points([Chromosome(genes)], space, config)
 
     def replications(key, nsim):
         return oracle_mod._replications([streams(key)], nsim, point)
 
-    if config.scheme == "normal":
-        drawn = oracle_mod._draw_factors([streams((seed, *genes))], config.nsim, point)[1, 0, 0]
-    else:
-        drawn = oracle_mod._draw_moments([streams((seed, *genes))], config.nsim, point)[0, 0, 1, 0]
+    drawn = oracle_mod._draw([streams((seed, *genes))], config.nsim, point)[1][0, 0]
     seam, broken = breaker(drawn[list(rows)])
     reject, degenerate = replications((seed, *genes), config.nsim)
     assert not degenerate.any()

@@ -55,8 +55,9 @@ def test_sweep_scores_under_the_config_metric(tmp_path):
 
 def test_bench_layers_run(tmp_path, monkeypatch):
     """One repeat of each layer of scripts/bench.py, the per-layer timing
-    tool: every layer reads a positive, finite time (or peak RSS), and the
-    GA layer puts back the oracle function it stubs. No BENCH file is
+    tool: every layer reads a positive, finite time (or peak RSS), but the
+    page-fault count, which is a whole number and may be 0, and the GA
+    layer puts back the oracle function it stubs. No BENCH file is
     written."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts its src/ first
     bench = load_script("bench")
@@ -65,10 +66,12 @@ def test_bench_layers_run(tmp_path, monkeypatch):
         **bench.oracle_layers(1),
         **bench.ga_layer(1),
         **bench.knn_and_io_layers(1, tmp_path),
-        **bench.end_to_end(1, tmp_path),
+        **bench.end_to_end(1, 1, tmp_path),
         **bench.cold_layers(1, 1, tmp_path),
     }
-    assert len(layers) == 24
+    assert len(layers) == 26
+    faults = layers.pop("oracle.interaction_minflt")
+    assert faults >= 0 and faults == int(faults)
     assert all(math.isfinite(value) and value > 0 for value in layers.values()), layers
     assert bench.oracle_mod.estimate_many is real
 

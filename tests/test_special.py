@@ -1,10 +1,26 @@
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from powermap import NumericalError, f_cdf, regularized_incomplete_beta, student_t_cdf
+from powermap.config import load_run_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def config_tests():
+    """(tested slopes, residual df) of every sample size of the two shipped
+    configs."""
+    tests = set()
+    for name in ("desk.json", "interaction_study.json"):
+        config = load_run_config(CONFIGS / name)
+        sizes, p = config.space.sample_size_range, config.space.n_coefficients
+        k = len(config.oracle.test.tested_indices)
+        tests.update((k, int(sizes.value_at(i)) - p - 1) for i in range(sizes.grid_count))
+    return sorted(tests)
 
 
 def beta_quadrature(a, b, x):
@@ -147,3 +163,21 @@ class TestFCdf:
         for x, d1, d2 in [(0.5, 3, 8), (2.7, 3, 96), (1.3, 10, 10)]:
             expected = beta_quadrature(d1 / 2, d2 / 2, d1 * x / (d1 * x + d2))
             assert f_cdf(x, d1, d2) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("k, df", config_tests())
+    def test_matches_scipy_at_the_critical_values(self, k, df):
+        """At the 0.95 quantile of every F the shipped configs test, within
+        1e-14 of scipy: the continued fraction runs to a few units in the
+        last place, and log B(a, b) does not lose digits to lgamma's
+        cancellation at large df."""
+        x = stats.f.isf(0.05, k, df)
+        assert abs(f_cdf(x, k, df) - stats.f.cdf(x, k, df)) <= 1e-14
+
+    @pytest.mark.parametrize("d1", [1, 3, 30])
+    @pytest.mark.parametrize("x", [1e3, 1e6, 1e9, 1e12, 6e14, 1e16])
+    def test_far_tail_at_one_denominator_df(self, d1, x):
+        """df2 = 1 far in the tail, where d1 x / (d1 x + 1) rounds to 1 (at
+        6e14 for d1 = 30, 1 - F is 3.23e-8): 1 - F within 1e-6 of scipy's
+        upper tail, relative."""
+        tail = stats.f.sf(x, d1, 1)
+        assert abs((1.0 - f_cdf(x, d1, 1)) - tail) <= 1e-6 * tail
