@@ -38,6 +38,10 @@ Layers:
   io.export_ms, io.load_ms        JSON + CSV export, then JSON load (the
                                   loader the CLI calls), of a 2,015-entry
                                   desk dictionary
+  io.interaction_load_ms          the JSON load of those 6,000 interaction
+                                  entries, as predict reads them
+  io.predictions_write_ms         write_predictions_csv of those 1,000
+                                  points' predictions
   e2e.predict_ms                  `powermap predict`, in-process, of those
                                   1,000 points from those 6,000 entries
                                   exported as JSON
@@ -239,8 +243,11 @@ def knn_and_io_layers(repeats: int, scratch: Path) -> dict:
     io_mod.export_dictionary_json(wide_path, wide_dictionary, wide, {"command": "bench"})
     with open(queries_path, "w", newline="") as fh:
         csv.writer(fh).writerows([io_mod.dictionary_csv_header(wide)[:-1], *queries.tolist()])
+    _, query_points = io_mod.load_queries_csv(queries_path, wide)
+    predictions = wide_index.predict(query_points, 5, "normalized_euclidean")
+    predictions_path = scratch / "bench_predictions.csv"
     argv = ["predict", "--dictionary", str(wide_path), "--queries", str(queries_path),
-            "--out", str(scratch / "bench_predictions.csv"), "--k", "5"]
+            "--out", str(predictions_path), "--k", "5"]
 
     def predict_command():
         with contextlib.redirect_stderr(io.StringIO()):
@@ -254,6 +261,10 @@ def knn_and_io_layers(repeats: int, scratch: Path) -> dict:
         "knn.interaction_predict_ms": 1e3 * wide_s,
         "io.export_ms": 1e3 * median_time(export, repeats),
         "io.load_ms": 1e3 * median_time(lambda: io_mod.load_dictionary_arrays(json_path), repeats),
+        "io.interaction_load_ms": 1e3 * median_time(lambda: io_mod.load_dictionary_arrays(wide_path), repeats),
+        "io.predictions_write_ms": 1e3 * median_time(
+            lambda: io_mod.write_predictions_csv(predictions_path, wide, query_points, predictions), repeats
+        ),
         "e2e.predict_ms": 1e3 * median_time(predict_command, repeats),
     }
 

@@ -12,6 +12,7 @@ are byte-identical.
 from __future__ import annotations
 
 import csv
+import gc
 import itertools
 import json
 import math
@@ -43,10 +44,22 @@ class FormatError(ValueError):
 def read_json(path) -> Any:
     """The JSON value in the UTF-8 file at path. Invalid JSON, bytes that are
     not UTF-8, an integer literal too long for Python to convert and nesting
-    too deep to decode are each a FormatError naming the path."""
+    too deep to decode are each a FormatError naming the path.
+
+    The cyclic garbage collector is paused while the text decodes: the
+    objects json allocates hold no cycles, yet they set off collections
+    that scan every one of them.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return json.loads(text)
+        finally:
+            if enabled:
+                gc.enable()
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from None
     except ValueError as exc:  # bytes not UTF-8, or an integer over Python's digit limit
@@ -175,12 +188,12 @@ def dictionary_csv_header(space: SearchSpace) -> list[str]:
 
 def _write_csv(path, header: list[str], rows, lasts) -> None:
     """A header row, then each row's numbers and its one last value, all at
-    six decimals."""
+    six decimals: the bytes csv.writer writes for them, formatted from one
+    row template repeated over the table and written in one call."""
+    table = np.column_stack([np.reshape(rows, (len(lasts), len(header) - 1)), lasts])
+    template = ",".join(["%.6f"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for numbers, last in zip(rows, lasts):
-            writer.writerow([f"{v:.6f}" for v in numbers] + [f"{last:.6f}"])
+        fh.write(",".join(header) + "\r\n" + (template * len(table)) % tuple(table.ravel().tolist()))
 
 
 def export_dictionary_csv(path, dictionary: PowerDictionary, space: SearchSpace) -> None:
@@ -335,6 +348,19 @@ def _floats(rows: list, key: str, width: int = 0) -> np.ndarray:
     return array.reshape(-1, width) if width else array
 
 
+def _query_point(path, line_no: int, row: list[str], width: int) -> tuple[float, ...]:
+    """The first width values of the CSV row at line_no, checked."""
+    if len(row) < width:
+        raise FormatError(f"{path}: line {line_no}: expected {width} values, got {len(row)}")
+    try:
+        point = tuple(float(v) for v in row[:width])
+    except ValueError as exc:
+        raise FormatError(f"{path}: line {line_no}: {_cut(str(exc))}") from None
+    if not all(math.isfinite(v) for v in point):
+        raise FormatError(f"{path}: line {line_no}: values must be finite, got {point}")
+    return point
+
+
 def load_queries_csv(path, space: SearchSpace) -> tuple[list[str], list[tuple[float, ...]]]:
     """Query points from a UTF-8 CSV (a leading BOM, as spreadsheets write,
     is skipped) with the dictionary's coordinate columns.
@@ -354,21 +380,25 @@ def load_queries_csv(path, space: SearchSpace) -> tuple[list[str], list[tuple[fl
                 raise FormatError(
                     f"{path}: header {_cut(str(header))} does not start with expected columns {expected}"
                 )
-            points: list[tuple[float, ...]] = []
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) < len(expected):
-                    raise FormatError(
-                        f"{path}: line {line_no}: expected {len(expected)} values, got {len(row)}"
-                    )
-                try:
-                    point = tuple(float(v) for v in row[: len(expected)])
-                except ValueError as exc:
-                    raise FormatError(f"{path}: line {line_no}: {_cut(str(exc))}") from None
-                if not all(math.isfinite(v) for v in point):
-                    raise FormatError(f"{path}: line {line_no}: values must be finite, got {point}")
-                points.append(point)
+            rows, failure = [], None
+            try:
+                for row in reader:
+                    rows.append(row)
+            except (UnicodeDecodeError, csv.Error) as exc:  # raised after any bad row before it
+                failure = exc
+            width = len(expected)
+            try:
+                points = [tuple(map(float, row[:width])) for row in rows if row]
+                valid = set(map(len, points)) <= {width} and all(
+                    map(math.isfinite, itertools.chain.from_iterable(points))
+                )
+            except ValueError:
+                valid = False
+            if not valid:
+                # Row by row, so that the first bad line names itself.
+                points = [_query_point(path, i, row, width) for i, row in enumerate(rows, start=2) if row]
+            if failure is not None:
+                raise failure
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from None
     except csv.Error as exc:  # a field longer than csv.field_size_limit(), say

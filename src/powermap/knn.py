@@ -13,12 +13,22 @@ under the normalized metric and a coefficient under the raw one). A group's
 bound is the distance over its shared coordinates, summed in the same order
 as a full distance with the free axis's term left out. Adding a term >= 0
 never lowers a float sum and sqrt is monotone, so the bound is at most the
-float distance of each entry of the group, bit for bit. Per query, the k
-groups with the smallest bounds (all of them, when there are fewer) hold at
-least k entries, so the k-th smallest distance U over their entries is at
-least d_k, the true k-th smallest. Every entry within d_k + _TIE_TOL
-therefore lies in a group whose bound is within U + _TIE_TOL. Ranking just
-those entries by the tie rule gives the rows and distances of a full scan,
+float distance of each entry of the group, bit for bit.
+
+The bounds are built from the lattice of the kept axes: each kept axis holds
+few distinct group coordinates, so each axis's term ((value - x) * scale)**2
+is computed once per distinct value and query, then gathered by group and
+summed in axis order. Those are the same float operations on the same
+operands as a distance over the groups' coordinates, so the bounds equal it
+bit for bit, however sparsely the groups fill the lattice.
+
+Per query, cut is the k-th smallest bound (the largest, when there are fewer
+than k groups). The groups within cut, at least k of them, hold at least k
+entries, so the k-th smallest distance U over their entries is at least d_k,
+the true k-th smallest. Every entry within d_k + _TIE_TOL therefore lies in
+a group within cut or in one whose bound is within U + _TIE_TOL. Each of
+those groups' entries is measured once, and ranking the ones within
+U + _TIE_TOL by the tie rule gives the rows and distances of a full scan,
 ties included.
 """
 
@@ -110,18 +120,25 @@ def _firsts(query: np.ndarray, m: int) -> np.ndarray:
     return np.cumsum(counts) - counts
 
 
+def _pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.nonzero of a 2-D mask, from its flat indices, which numpy finds
+    several times faster."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
 def _kth(query: np.ndarray, values: np.ndarray, m: int, k: int) -> np.ndarray:
     """The k-th smallest of the values of each of queries 0..m-1, where the
     ascending array query names each value's query (each has at least k)."""
     column = np.arange(len(query)) - _firsts(query, m)[query]
     each = np.full((m, column.max() + 1), np.inf)
     each[query, column] = values
-    return each[np.arange(m), np.argpartition(each, k - 1, axis=1)[:, k - 1]]
+    return np.partition(each, k - 1, axis=1)[:, k - 1]
 
 
 class _Groups:
     """The entries in runs that share every coordinate but the free axis's,
-    each run (group) given by its start and size in the row order `order`."""
+    each run (group) given by its start and size in the row order `order`.
+    Along each kept axis, the groups' coordinates are values[i][inverse[i]]."""
 
     def __init__(self, genes: np.ndarray, columns: np.ndarray, free: int) -> None:
         self.kept = [j for j in range(genes.shape[1]) if j != free]
@@ -132,10 +149,26 @@ class _Groups:
         self.starts = np.flatnonzero(np.r_[True, np.any(kept[:, 1:] != kept[:, :-1], axis=0)])
         self.sizes = np.diff(self.starts, append=len(genes))
         self.columns = kept[:, self.starts]
+        self.values, self.inverse = zip(*(np.unique(c, return_inverse=True) for c in self.columns))
 
     def query_bytes(self, k: int) -> int:
-        """At most the bytes of one query's bounds and near-group distances."""
+        """The bytes of one query's bounds and of k groups' distances."""
         return 8 * (len(self.starts) + min(k, len(self.starts)) * int(self.sizes.max()))
+
+    def bounds(self, block: np.ndarray, scales: np.ndarray) -> np.ndarray:
+        """_distances(columns, block.T[kept, :, None], scales[kept]), the
+        (queries, groups) bounds, from each kept axis's terms at its distinct
+        values: the same operations on the same operands."""
+        squares = None
+        for j, values, inverse in zip(self.kept, self.values, self.inverse):
+            term = values[:, None] - block[:, j]
+            term *= scales[j]
+            term *= term
+            if squares is None:
+                squares = term[inverse]
+            else:
+                squares += term[inverse]
+        return np.sqrt(squares, out=squares).T.copy()
 
 
 class DictionaryIndex:
@@ -206,20 +239,22 @@ class DictionaryIndex:
     ) -> tuple[np.ndarray, np.ndarray]:
         """_rank of one block of query points."""
         m = len(block)
-        bounds = _distances(groups.columns, block.T[groups.kept, :, None], scales[groups.kept])
-        # The near groups: the k (or all) with the smallest bounds. U, the
-        # k-th smallest distance over their entries, is at least d_k, the
-        # k-th smallest over all entries.
+        bounds = groups.bounds(block, scales)
+        # The near groups: those within cut, the near-th smallest bound, so
+        # at least k (or all) of them. U, the k-th smallest distance over
+        # their entries, is at least d_k, the k-th smallest over all entries.
         near = min(k, len(groups.starts))
-        nearest = np.argpartition(bounds, near - 1, axis=1)[:, :near]
-        query, row, dist = self._entries(groups, block, scales, np.repeat(np.arange(m), near), nearest.ravel())
+        cut = np.partition(bounds, near - 1, axis=1)[:, near - 1, None]
+        query, row, dist = self._entries(groups, block, scales, *_pairs(bounds <= cut))
         reach = _kth(query, dist, m, k) + _TIE_TOL
         # Every entry within d_k + _TIE_TOL lies in a group whose bound is
-        # within U + _TIE_TOL. Of those groups' entries, the candidates are
-        # the ones within U + _TIE_TOL, ascending by query, then distance.
-        # Each entry within _TIE_TOL of the one before it is tied with it,
-        # and ties go to the lower row.
-        query, row, dist = self._entries(groups, block, scales, *np.nonzero(bounds <= reach[:, None]))
+        # within U + _TIE_TOL: a near group, or one of the groups further
+        # out, whose entries are computed here, once. Of all those entries,
+        # the candidates are the ones within U + _TIE_TOL, ascending by
+        # query, then distance. Each entry within _TIE_TOL of the one before
+        # it is tied with it, and ties go to the lower row.
+        further = self._entries(groups, block, scales, *_pairs((bounds > cut) & (bounds <= reach[:, None])))
+        query, row, dist = (np.concatenate(pair) for pair in zip((query, row, dist), further))
         keep = dist <= reach[query]
         query, row, dist = query[keep], row[keep], dist[keep]
         order = np.lexsort((dist, query))

@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import gc
 import io
 import json
 import re
@@ -242,6 +244,90 @@ class TestCsvDictionary:
         assert space.snap(values) == Chromosome((2, 5, 10))
 
 
+def csv_writer_bytes(header, rows, lasts) -> bytes:
+    """What csv.writer writes for the header, then each row's numbers and
+    its last value at six decimals."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    for numbers, last in zip(rows, lasts):
+        writer.writerow([f"{v:.6f}" for v in numbers] + [f"{last:.6f}"])
+    return buffer.getvalue().encode()
+
+
+class TestCsvRowBytes:
+    """The CSV writers fill one template per row, and write the bytes that
+    csv.writer writes."""
+
+    EDGES = [-0.0, 1e-7, 0.9999995, 5e-7, -5e-7, 0.5, 123456.789, 1.0]
+
+    @pytest.mark.parametrize("count", [0, 1, 500])
+    def test_predictions(self, tmp_path, count):
+        """The first row is (-0.0, 1e-7, 0.9999995) with prediction
+        0.9999995; half the others are drawn from EDGES."""
+        space = sample_space()
+        rng = np.random.default_rng(count)
+        points = [tuple(self.EDGES[:3])] + [
+            tuple((rng.choice(self.EDGES, 3) if i % 2 else rng.uniform(-1e3, 1e3, 3)).tolist())
+            for i in range(count - 1)
+        ]
+        predictions = np.where(rng.random(count) < 0.5, rng.choice(self.EDGES, count), rng.random(count))
+        predictions[:1] = 0.9999995
+        path = tmp_path / "pred.csv"
+        write_predictions_csv(path, space, points[:count], predictions)
+        header = ["theta_1", "theta_2", "n", "predicted_power"]
+        assert path.read_bytes() == csv_writer_bytes(header, points[:count], predictions)
+
+    @pytest.mark.parametrize("size", [0, 3, 500])
+    def test_dictionary(self, tmp_path, size):
+        space = sample_space()
+        d = PowerDictionary()
+        rng = np.random.default_rng(size)
+        grid = list(space.enumerate_grid())
+        for i in rng.choice(len(grid), size, replace=False):
+            d.insert(grid[i], float(rng.choice(self.EDGES[:3] + [rng.random()])))
+        path = tmp_path / "dict.csv"
+        export_dictionary_csv(path, d, space)
+        genes, powers = d.arrays()
+        want = csv_writer_bytes(["theta_1", "theta_2", "n", "power"], space.decode_many(genes), powers)
+        assert path.read_bytes() == want
+
+
+class TestReadJsonGc:
+    """read_json decodes with the cyclic garbage collector paused, and
+    leaves it as the caller had it."""
+
+    CASES = {
+        "valid": (b'{"a": [1, 2.5, {"b": null}]}', None),
+        "not JSON": (b'{"a": [1, 2', "not valid JSON"),
+        "digit limit": (b"1" * 5000, "digits"),
+        "too deep": (b"[" * 100_000, "nested too deeply"),
+        "not UTF-8": (b'{"a": "\xff"}', "codec"),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_gc_state_restored(self, tmp_path, monkeypatch, case, enabled):
+        text, error = self.CASES[case]
+        path = tmp_path / "x.json"
+        path.write_bytes(text)
+        during = []
+        real = io_mod.json.loads
+        monkeypatch.setattr(io_mod.json, "loads", lambda s: during.append(gc.isenabled()) or real(s))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if error is None:
+                assert io_mod.read_json(path) == real(text)
+            else:
+                with pytest.raises(FormatError, match=error):
+                    io_mod.read_json(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == ([] if case == "not UTF-8" else [False])
+
+
 class TestQueriesCsv:
     def test_roundtrip_with_predictions(self, tmp_path):
         space = sample_space()
@@ -266,6 +352,34 @@ class TestQueriesCsv:
         qpath = tmp_path / "queries.csv"
         qpath.write_text("theta_1,theta_2,n\n0.2\n")
         with pytest.raises(FormatError, match="line 2"):
+            load_queries_csv(qpath, sample_space())
+
+    @pytest.mark.parametrize(
+        "tail, match",
+        [
+            (b"0.2,0.5,100\n0.3,oops,195\n", "line 3: could not convert"),
+            (b"0.2,0.5,100\n", "'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["bad-row-first", "good-rows"],
+    )
+    def test_rows_before_undecodable_bytes_are_checked_first(self, tmp_path, tail, match):
+        """Bytes that are not UTF-8, 24 KB into the file, are reported only
+        when every row before them parses."""
+        qpath = tmp_path / "queries.csv"
+        qpath.write_bytes(b"theta_1,theta_2,n\n" + tail + b"0.2,0.5,100\n" * 2000 + b"\xff,1,1\n")
+        with pytest.raises(FormatError, match=match):
+            load_queries_csv(qpath, sample_space())
+
+    @pytest.mark.parametrize(
+        "first, match",
+        [(b"0.3,nan,1\n", "line 2: values must be finite"), (b"", "line 2002: field larger than field limit")],
+        ids=["bad-row-first", "good-rows"],
+    )
+    def test_rows_before_an_oversized_field_are_checked_first(self, tmp_path, first, match):
+        qpath = tmp_path / "queries.csv"
+        big = b"1," + b"9" * (csv.field_size_limit() + 1) + b",3\n"
+        qpath.write_bytes(b"theta_1,theta_2,n\n" + first + b"0.2,0.5,100\n" * (2000 - len(first.splitlines())) + big)
+        with pytest.raises(FormatError, match=match):
             load_queries_csv(qpath, sample_space())
 
     def test_wrong_header(self, tmp_path):

@@ -481,3 +481,69 @@ class TestPrunedRanking:
         index = DictionaryIndex(interaction_space(), *fill(interaction_space(), {(0, 0, 0, 0): 0.5}).arrays())
         for metric, kept in (("normalized_euclidean", [0, 1, 2]), ("raw_euclidean", [0, 1, 3])):
             assert index._grouped(knn._scales(index.space, metric)).kept == kept
+
+    @pytest.mark.parametrize("metric", knn.METRICS)
+    @pytest.mark.parametrize("grid", ["interaction", "desk", "zero-span", "zero-scale"])
+    def test_bounds_equal_distances_bit_for_bit(self, grid, metric):
+        """The group bounds, built from each kept axis's terms at its distinct
+        values, equal _distances over the groups' coordinates. Zero-span
+        axes have scale 0 under the normalized metric; "zero-scale" zeroes
+        the scale of an axis that has a span."""
+        rng = np.random.default_rng(12)
+        if grid == "zero-span":
+            space = SearchSpace(
+                coefficient_ranges=(
+                    ParameterRange(0.2, 0.2, 0.05), ParameterRange(0.3, 0.9, 0.05), ParameterRange(0.5, 0.5, 0.1),
+                ),
+                sample_size_range=ParameterRange(50, 200, 5),
+            )
+        else:
+            space = desk_space() if grid == "desk" else interaction_space()
+        index = DictionaryIndex(space, *random_dictionary(space, min(1500, space.grid_size // 2), rng).arrays())
+        scales = knn._scales(space, metric)
+        if grid == "zero-scale":
+            scales[1] = 0.0
+        groups = index._grouped(scales)
+        for kind in ("off-grid", "on-grid", "outside"):
+            points = random_queries(space, kind, 200, rng)
+            want = knn._distances(groups.columns, points.T[groups.kept, :, None], scales[groups.kept])
+            assert np.array_equal(groups.bounds(points, scales), want)
+
+    @pytest.mark.parametrize("metric", knn.METRICS)
+    def test_sparse_lattice_equals_full_scan(self, metric):
+        """Groups on a diagonal of the kept-axis lattice, so that at most one
+        in twenty of its cells holds a group, under either metric."""
+        space = interaction_space()
+        rng = np.random.default_rng(13)
+        d = fill(space, {(a, 2 * a + 1, 9 - a, n): float(rng.random()) for a in range(5) for n in range(a, 91, 6)})
+        index = DictionaryIndex(space, *d.arrays())
+        groups = index._grouped(knn._scales(space, metric))
+        cells = np.prod([len(values) for values in groups.values])
+        assert len(groups.starts) * 20 <= cells
+        for kind in ("off-grid", "outside"):
+            points = random_queries(space, kind, 60, rng)
+            for k in (1, 5, 17, len(index)):
+                assert_ranked_exactly(index, points, k, metric)
+
+    @pytest.mark.parametrize("metric", knn.METRICS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_bounds_tied_at_the_cut_equal_full_scan(self, metric, k):
+        """Coefficients at the integers and queries at half-integers: each
+        query's four surrounding groups have exactly equal bounds, so the
+        first pass takes every group tied at the cut, more than k."""
+        space = SearchSpace(
+            coefficient_ranges=(ParameterRange(0.0, 5.0, 1.0), ParameterRange(0.0, 5.0, 1.0)),
+            sample_size_range=ParameterRange(3, 12, 1),
+        )
+        rng = np.random.default_rng(14)
+        index = DictionaryIndex(space, *random_dictionary(space, 200, rng).arrays())
+        scales = knn._scales(space, metric)
+        groups = index._grouped(scales)
+        assert groups.kept == [0, 1]
+        halves = rng.integers(0, 5, (50, 2)) + 0.5
+        points = np.column_stack([halves, rng.uniform(3, 12, 50)])
+        bounds = groups.bounds(points, scales)
+        near = min(k, len(groups.starts))
+        cut = np.partition(bounds, near - 1, axis=1)[:, near - 1, None]
+        assert ((bounds <= cut).sum(axis=1) > near).all()
+        assert_ranked_exactly(index, points, k, metric)

@@ -69,7 +69,7 @@ def test_bench_layers_run(tmp_path, monkeypatch):
         **bench.end_to_end(1, 1, tmp_path),
         **bench.cold_layers(1, 1, tmp_path),
     }
-    assert len(layers) == 26
+    assert len(layers) == 28
     faults = layers.pop("oracle.interaction_minflt")
     assert faults >= 0 and faults == int(faults)
     assert all(math.isfinite(value) and value > 0 for value in layers.values()), layers
