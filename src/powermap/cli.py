@@ -162,6 +162,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "the comparison requires a shared grid"
         )
     queries = io_mod.field(metadata, f"{args.ga}: metadata", "oracle_queries", int, len(powers))
+    if queries < len(powers):  # each entry is one oracle value
+        raise io_mod.FormatError(
+            f"{args.ga}: metadata.oracle_queries: {queries} is fewer than the export's {len(powers)} entries"
+        )
     result = score((genes, powers), (brute_genes, brute_powers), space, predictor, queries)
     payload = dataclasses.asdict(result)
     text = json.dumps(payload, indent=1)

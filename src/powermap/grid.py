@@ -145,16 +145,13 @@ class SearchSpace:
                 f"chromosome has {len(chromosome.genes)} genes, "
                 f"space has {len(ranges)} dimensions"
             )
-        values = np.empty(len(ranges))
         for j, (g, r) in enumerate(zip(chromosome.genes, ranges)):
             if g >= r.grid_count:
                 raise GridError(
                     f"gene {g} out of range for {self._dim_name(j)} "
                     f"(grid of {r.grid_count} points)"
                 )
-            values[j] = r.value_at(g)
-        values[-1] = round(values[-1])
-        return values
+        return self.decode_many([chromosome.genes])[0]
 
     def decode_many(self, genes) -> np.ndarray:
         """decode of every row of an (m, d) array-like of grid genes, as an

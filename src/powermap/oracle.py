@@ -54,7 +54,8 @@ Gram of [1, slopes in column order] from the halves' sums of x2 and x2**2
 vectorised over the block, for C.
 
 So both schemes share one draw routine, a point's chi-squares and standard
-normals per replication, and one reading of F off B. Under both the
+normals per replication, and one reading of F off B, held as the rows of
+its lower triangle, each entry an array over the block. Under both the
 estimand, random-design power, is that of drawn rows exactly, at O(p^2)
 draws per replication however large n is.
 """
@@ -214,7 +215,6 @@ class _Points:
     groups: np.ndarray  # (groups, points, 1): rows per group, (n,) or the x1 = -1 and +1 halves
     shapes: np.ndarray  # (points, draws): shapes df / 2 of a replication's chi-squares
     normals: int  # standard normals per replication
-    tolerance: np.ndarray  # (points, 1): _PIVOT_TOL + (n + p + 2) * eps, experiment only
     df: np.ndarray  # (points, 1): residual degrees of freedom n - p - 1, as floats
     threshold: np.ndarray  # (points, 1): tested * F_{1-alpha}(tested, df)
 
@@ -223,7 +223,7 @@ class _Points:
         return _Points(
             self.scheme, self.order, self.tested, self.sigma,
             self.beta[:, at], self.groups[:, at], self.shapes[at], self.normals,
-            self.tolerance[at], self.df[at], self.threshold[at],
+            self.df[at], self.threshold[at],
         )
 
 
@@ -261,11 +261,8 @@ def _points(chromosomes: Sequence[Chromosome], space: SearchSpace, config: Oracl
     order = [j for j in range(p) if j + 1 not in tested] + [j - 1 for j in tested]
     # Each point's scalars in Python floats, the same IEEE operations as on
     # numpy's float64.
-    tolerance, df, threshold = np.array(
-        [
-            (_PIVOT_TOL + (n + p + 2) * _EPS, n - p - 1, critical_value(k, n - p - 1, config.alpha) * k)
-            for n in sizes
-        ]
+    df, threshold = np.array(
+        [(n - p - 1, critical_value(k, n - p - 1, config.alpha) * k) for n in sizes]
     ).T[:, :, None]
     n = np.array(sizes)[:, None]
     if config.scheme == "normal":
@@ -285,7 +282,6 @@ def _points(chromosomes: Sequence[Chromosome], space: SearchSpace, config: Oracl
         groups=groups,
         shapes=dfs / 2,
         normals=normals,
-        tolerance=tolerance,
         df=df,
         threshold=threshold,
     )
@@ -303,9 +299,6 @@ def _streams(key: tuple[int, ...]) -> tuple[np.random.Generator, np.random.Gener
     return tuple(np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,))) for i in range(2))
 
 
-_tril_indices = lru_cache(maxsize=None)(np.tril_indices)
-
-
 def _draw(
     streams: Sequence[tuple[np.random.Generator, ...]], rows: int, points: _Points
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -321,45 +314,33 @@ def _draw(
     return chis.transpose(2, 0, 1), normals.transpose(2, 0, 1)
 
 
-def _draw_factors(
-    streams: Sequence[tuple[np.random.Generator, ...]], rows: int, points: _Points
-) -> np.ndarray:
-    """Normal scheme: the tested blocks B, (k+1, k+1, points, rows), of the
-    next rows replications: the roots of the chi-squares, with
-    n-1-(p-k), ..., n-1-p degrees of freedom, on B's diagonal, and the
-    normals in its strictly lower triangle in np.tril_indices order."""
-    k = points.tested
-    chis, normals = _draw(streams, rows, points)
-    factor = np.zeros((k + 1, k + 1, len(streams), rows))
-    factor[np.diag_indices(k + 1)] = np.sqrt(chis)
-    factor[_tril_indices(k + 1, -1)] = normals
-    return factor
-
-
-def _factor_rejections(factor: np.ndarray, points: _Points) -> tuple[np.ndarray, np.ndarray]:
-    """Rejection indicators for a (k+1, k+1, points, rows) block of tested
-    blocks B, and a mask of the replications whose fit is degenerate: a
-    zero pivot or a zero SSE. Only B's lower triangle is read."""
+def _factor_rejections(block: list, points: _Points) -> tuple[np.ndarray, np.ndarray]:
+    """Rejection indicators for a block of replications' tested blocks B, and
+    a mask of the replications whose fit is degenerate: a zero pivot or a
+    zero SSE. block holds B's lower triangle by rows: row i is B[i, 0], ...,
+    B[i, i], each an array that broadcasts to (points, rows)."""
     k, beta = points.tested, points.beta[-points.tested :]
     # Tested rows of y's column of R, s B[k, t] + b_t B[t, t] + ... + b_{k-1} B[k-1, t].
-    rise = np.zeros(factor.shape[2:])
+    rise = 0.0
     for t in range(k):
-        y = points.sigma * factor[k, t]
+        y = points.sigma * block[k][t]
         for i in range(t, k):
-            y += beta[i] * factor[i, t]
+            y += beta[i] * block[i][t]
         rise += y * y
-    sse = points.sigma**2 * factor[k, k] ** 2
-    degenerate = (sse <= 0.0) | (np.diagonal(factor) == 0.0).any(axis=-1)
+    sse = points.sigma**2 * block[k][k] ** 2
+    degenerate = sse <= 0.0  # also where the noise pivot B[k, k] is 0
+    for i in range(k):
+        degenerate |= block[i][i] == 0.0
     # F = (rise / tested) / (sse / df) > critical, kept free of division so
     # that a zero SSE needs no special case.
     return rise * points.df > points.threshold * sse, degenerate
 
 
-def _design_factor(means: np.ndarray, squares: np.ndarray, points: _Points) -> tuple[np.ndarray, np.ndarray]:
-    """Experiment scheme: a zeroed (k+1, k+1, points, rows) block of tested
-    blocks B with the design block C in its top-left k x k, and a mask of
-    the replications whose design is nearly collinear: a column's Cholesky
-    pivot at most points.tolerance times its G_jj.
+def _design_factor(means: np.ndarray, squares: np.ndarray, points: _Points) -> tuple[list, np.ndarray]:
+    """Experiment scheme: the design block C, the top-left k x k of B, as its
+    lower-triangle rows in _factor_rejections' layout, and a mask of the
+    replications whose design is nearly collinear: a column's Cholesky pivot
+    at most _PIVOT_TOL + (n + p + 2) eps times its G_jj.
 
     means and squares are (2, points, rows): per half of m rows, the x1 = -1
     half first, sqrt(m) times the mean of x2 and the sum of squares S of x2
@@ -369,7 +350,8 @@ def _design_factor(means: np.ndarray, squares: np.ndarray, points: _Points) -> t
     both halves, or over the x1 = +1 half less the x1 = -1 half where
     (c ^ d) & 1, since x1**2 = 1. The Gram of [1, slopes in column order] is
     factored one right-looking Cholesky step per column, on its lower
-    triangle, each step vectorised over the block.
+    triangle, each step vectorised over the block; C is the tested columns'
+    rows of that factor, from the first tested column on.
     """
     minus, plus = points.groups
     sums = np.sqrt(points.groups) * means
@@ -380,7 +362,9 @@ def _design_factor(means: np.ndarray, squares: np.ndarray, points: _Points) -> t
     )
     columns = (0, *(j + 1 for j in points.order))
     gram = [[table[(c ^ d) & 1][(c >> 1) + (d >> 1)] for d in columns[: i + 1]] for i, c in enumerate(columns)]
-    size, limits = len(columns), [points.tolerance * gram[j][j] for j in range(len(columns))]
+    size = len(columns)
+    tolerance = _PIVOT_TOL + (minus + plus + size + 1) * _EPS  # n + p + 2, as size = p + 1
+    limits = [tolerance * gram[j][j] for j in range(size)]
     collinear = np.zeros(means.shape[1:], dtype=bool)
     for j in range(size):
         bad = gram[j][j] <= limits[j]
@@ -391,36 +375,27 @@ def _design_factor(means: np.ndarray, squares: np.ndarray, points: _Points) -> t
             gram[i][j] = gram[i][j] / gram[j][j]
             for t in range(j + 1, i + 1):
                 gram[i][t] = gram[i][t] - gram[i][j] * gram[t][j]
-    k = points.tested
-    factor = np.zeros((k + 1, k + 1, *collinear.shape))
-    for i in range(k):
-        for t in range(i + 1):
-            factor[i, t] = gram[size - k + i][size - k + t]
-    return factor, collinear
-
-
-def _draw_design_factors(
-    streams: Sequence[tuple[np.random.Generator, ...]], rows: int, points: _Points
-) -> tuple[np.ndarray, np.ndarray]:
-    """Experiment scheme: the tested blocks B of the next rows replications,
-    in _draw_factors' layout, and _design_factor's collinear mask. A
-    replication's chi-squares are S for each half, then Q; its normals are
-    sqrt(m) times the mean of x2 for each half, then z."""
-    chis, normals = _draw(streams, rows, points)
-    factor, collinear = _design_factor(normals[:2], chis[:2], points)
-    factor[-1, :-1] = normals[2:]
-    factor[-1, -1] = np.sqrt(chis[2])
-    return factor, collinear
+    return [gram[i][size - points.tested :] for i in range(size - points.tested, size)], collinear
 
 
 def _replications(
     streams: Sequence[tuple[np.random.Generator, ...]], rows: int, points: _Points
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rejection indicators and degenerate mask, (points, rows), of the next rows replications."""
+    """Rejection indicators and degenerate mask, (points, rows), of the next
+    rows replications. Under the normal scheme B is drawn whole: row i is i
+    normals, in np.tril_indices order, then the root of a chi-square with
+    n-1-(p-k)-i degrees of freedom. Under the experiment scheme the chi-squares
+    are S for each half, then Q, and the normals sqrt(m) times the mean of x2
+    for each half, then z: B is _design_factor's C over the noise row
+    [z, sqrt(Q)]."""
+    chis, normals = _draw(streams, rows, points)
     if points.scheme == "normal":
-        return _factor_rejections(_draw_factors(streams, rows, points), points)
-    factor, collinear = _draw_design_factors(streams, rows, points)
-    reject, degenerate = _factor_rejections(factor, points)
+        block = [[*normals[i * (i - 1) // 2 : i * (i + 1) // 2], np.sqrt(chis[i])] for i in range(points.tested + 1)]
+        collinear = False
+    else:
+        block, collinear = _design_factor(normals[:2], chis[:2], points)
+        block.append([*normals[2:], np.sqrt(chis[2])])
+    reject, degenerate = _factor_rejections(block, points)
     return reject, degenerate | collinear
 
 

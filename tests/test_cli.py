@@ -692,7 +692,12 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "metadata, named",
-        [(["x"], "metadata: expected an object"), ({"oracle_queries": True}, "metadata.oracle_queries")],
+        [
+            (["x"], "metadata: expected an object"),
+            ({"oracle_queries": True}, "metadata.oracle_queries"),
+            ({"oracle_queries": -1}, "metadata.oracle_queries"),
+            ({"oracle_queries": 19}, "metadata.oracle_queries"),  # the export has 20 entries
+        ],
     )
     def test_malformed_metadata_exits_2(self, tmp_path, capsys, metadata, named):
         config = write_config(tmp_path)

@@ -385,17 +385,18 @@ class TestBatchedKernel:
             if config.scheme == "experiment":
                 halves.append(row_halves(X, point.groups[:, 0, 0]))
             expected.append(scalar_reject(X, y, config))
-        block = np.stack(samples, axis=-1)[..., None, :]
+        exact = np.stack(samples, axis=-1)[..., None, :]
+        block = [list(row[: i + 1]) for i, row in enumerate(exact)]
         collinear = False
         if config.scheme == "experiment":
             k = point.tested
             means, squares = (np.stack(part, axis=-1)[:, None, :] for part in zip(*halves))
             design, collinear = oracle_mod._design_factor(means, squares, point)
-            scale = np.abs(block[:k, :k]).max(axis=(0, 1))
-            assert (np.abs(design[:k, :k] - block[:k, :k]) <= 1e-9 * scale).all()
-            assert not design[k:].any() and not design[:, k:].any()
-            design[k] = block[k]
-            block = design
+            scale = np.abs(exact[:k, :k]).max(axis=(0, 1))
+            assert [len(row) for row in design] == list(range(1, k + 1))
+            for i, row in enumerate(design):
+                assert (np.abs(np.array(row) - exact[i, : i + 1]) <= 1e-9 * scale).all()
+            block = [*design, block[k]]
         reject, degenerate = oracle_mod._factor_rejections(block, point)
         assert not (degenerate | collinear).any()
         assert reject[0].tolist() == expected
@@ -763,18 +764,19 @@ def _constant_halves(keys, levels):
 
 
 def _edited_factors(keys, pivot, value):
-    """Normal scheme: wrap the draw of the tested blocks so that the
-    replications whose first drawn normal, B[1, 0], is in keys (all of them,
-    for None) have B[pivot, pivot] = value."""
-    real = oracle_mod._draw_factors
+    """Wrap the reading of the tested blocks so that the replications whose
+    B[1, 0] is in keys (all of them, for None) have B[pivot, pivot] = value.
+    B[1, 0] is a drawn normal: the first under the normal scheme, and under
+    the experiment scheme with one tested slope z's first, drawn normal 2."""
+    real = oracle_mod._factor_rejections
 
-    def broken(streams, rows, point):
-        factor = real(streams, rows, point)
-        hit = np.isin(factor[1, 0], keys) if keys is not None else slice(None)
-        factor[pivot, pivot][hit] = value
-        return factor
+    def broken(block, point):
+        block = [list(row) for row in block]
+        hit = np.isin(block[1][0], keys) if keys is not None else True
+        block[pivot][pivot] = np.where(hit, value, block[pivot][pivot])
+        return real(block, point)
 
-    return "_draw_factors", broken
+    return "_factor_rejections", broken
 
 
 def _zero_sse(keys):
@@ -806,18 +808,18 @@ def experiment_case(nsim):
     return point_space([0.3, 0.6, 0.3], 55), config, (0, 0, 0, 0)
 
 
-def redrawn_case(breaker, space, config, genes, seed, rows=(3, 17, 40)):
+def redrawn_case(breaker, space, config, genes, seed, rows=(3, 17, 40), key=0):
     """The kernel broken at the given replications of one point, as the
     seam's name and its wrapper, and that point's estimate when each of them
-    is replaced by attempt 1 on its own streams. The breaker wraps the seam
-    of the point's scheme, _draw_factors or _design_factor, and finds the
-    rows by their first drawn normal."""
+    is replaced by attempt 1 on its own streams. The breaker wraps a seam,
+    _factor_rejections or _design_factor, and finds the rows by their drawn
+    normal number key."""
     point = oracle_mod._points([Chromosome(genes)], space, config)
 
     def replications(key, nsim):
         return oracle_mod._replications([streams(key)], nsim, point)
 
-    drawn = oracle_mod._draw([streams((seed, *genes))], config.nsim, point)[1][0, 0]
+    drawn = oracle_mod._draw([streams((seed, *genes))], config.nsim, point)[1][key, 0]
     seam, broken = breaker(drawn[list(rows)])
     reject, degenerate = replications((seed, *genes), config.nsim)
     assert not degenerate.any()
@@ -831,9 +833,13 @@ def redrawn_case(breaker, space, config, genes, seed, rows=(3, 17, 40)):
 
 
 class TestDegenerateDraws:
-    def test_degenerate_row_is_redrawn_from_its_own_stream(self, monkeypatch):
-        """A zero SSE."""
-        self._check_redrawn(_zero_sse, desk_space(), t_config(50), (2, 5, 10), monkeypatch)
+    def test_degenerate_row_is_redrawn_from_its_own_stream(self):
+        """A zero SSE under each scheme. The rows are found by z's first
+        entry B[1, 0]: drawn normal 0 under the normal scheme, 2 under the
+        experiment scheme."""
+        for case, key in (((desk_space(), t_config(50), (2, 5, 10)), 0), (experiment_case(50), 2)):
+            with pytest.MonkeyPatch.context() as patch:
+                self._check_redrawn(_zero_sse, *case, patch, key)
 
     @pytest.mark.parametrize("tested", [(1,), (1, 2)], ids=["t", "two-slope-f"])
     def test_zero_tested_pivot_is_redrawn(self, tested, monkeypatch):
@@ -847,9 +853,9 @@ class TestDegenerateDraws:
         self._check_redrawn(_constant_measure, *experiment_case(50), monkeypatch)
 
     @staticmethod
-    def _check_redrawn(breaker, space, config, genes, monkeypatch):
+    def _check_redrawn(breaker, space, config, genes, monkeypatch, key=0):
         seed, c = 4, Chromosome(genes)
-        seam, broken, expected = redrawn_case(breaker, space, config, genes, seed)
+        seam, broken, expected = redrawn_case(breaker, space, config, genes, seed, key=key)
         monkeypatch.setattr(oracle_mod, seam, broken)
         assert estimate_power(c, space, config, seed) == expected
         monkeypatch.setattr(oracle_mod, "_BLOCK_ROWS", 1)
