@@ -162,9 +162,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "the comparison requires a shared grid"
         )
     queries = io_mod.field(metadata, f"{args.ga}: metadata", "oracle_queries", int, len(powers))
-    if queries < len(powers):  # each entry is one oracle value
+    # Each entry is one oracle value, and the memo never queries a grid point twice.
+    if not len(powers) <= queries <= space.grid_size:
         raise io_mod.FormatError(
-            f"{args.ga}: metadata.oracle_queries: {queries} is fewer than the export's {len(powers)} entries"
+            f"{args.ga}: metadata.oracle_queries: {io_mod._cut(str(queries))} "
+            f"is not between {len(powers)} entries and {space.grid_size} grid points"
         )
     result = score((genes, powers), (brute_genes, brute_powers), space, predictor, queries)
     payload = dataclasses.asdict(result)

@@ -116,21 +116,6 @@ def field(data: dict, path: str, key: str, kind, default: Any = MISSING) -> Any:
     return expect(data[key], where, kind)
 
 
-def column(rows: list, path: str, key: str, kind) -> list:
-    """rows[i][key] for every row, as JSON gave it (an integer stays one
-    where kind is float), after the checks of field(rows[i], f"{path}[{i}]",
-    key, kind): type-checked in one pass rather than a call per row."""
-    try:
-        values = list(map(itemgetter(key), rows))
-    except (KeyError, TypeError):  # a row without key, or not an object
-        values = None
-    if values is None or not _accepted(values, kind):
-        # Row by row, so that the first bad row names itself.
-        for i, row in enumerate(rows):
-            field(expect(row, f"{path}[{i}]", dict), f"{path}[{i}]", key, kind)
-    return values
-
-
 @cache
 def _hints(cls) -> dict[str, Any]:
     """get_type_hints(cls), evaluated once per class: it compiles each string
@@ -203,12 +188,13 @@ def export_dictionary_csv(path, dictionary: PowerDictionary, space: SearchSpace)
 
 def _entry_template(dimension: int) -> str:
     """One entry as json.dump(..., indent=1) lays it out in "entries": %d
-    for each gene, %r for each value and %s for the power."""
+    for each gene, and %r for each value and the power, since json's C
+    encoder writes a float as float.__repr__ does."""
 
     def listed(name: str, spec: str) -> str:
         return f'   "{name}": [\n' + ",\n".join([f"    {spec}"] * dimension) + "\n   ],\n"
 
-    return "  {\n" + listed("genes", "%d") + listed("values", "%r") + '   "power": %s\n  }'
+    return "  {\n" + listed("genes", "%d") + listed("values", "%r") + '   "power": %r\n  }'
 
 
 def export_dictionary_json(
@@ -221,13 +207,10 @@ def export_dictionary_json(
 
     An indent sends json to its pure-Python encoder, several times slower
     than the C one, so only the head goes through json. Each entry fills a
-    fixed template with the tokens json writes: the gene integers, the repr
-    of each value (floats from decode_many), and the C encoder's token for
-    the power.
+    fixed template with its gene integers and the Python floats of its
+    values (from decode_many) and power, and is streamed to the file.
     """
     genes, powers = dictionary.arrays()
-    decoded = space.decode_many(genes).tolist()
-    tokens = json.dumps(powers.tolist())[1:-1].split(", ")
     head = json.dumps(
         {
             "schema_version": SCHEMA_VERSION,
@@ -238,15 +221,15 @@ def export_dictionary_json(
         indent=1,
     )
     template = _entry_template(space.dimension)
+    rows = zip(genes.tolist(), space.decode_many(genes).tolist(), powers.tolist())
+    entries = (template % (*chromosome_genes, *values, power) for chromosome_genes, values, power in rows)
+    first = next(entries, None)
     with open(path, "w") as fh:
-        if powers.size == 0:
+        if first is None:
             fh.write(head + "\n")
             return
-        fh.write(head[: -len("[]\n}")] + "[\n")  # head ends in '"entries": []\n}'
-        separator = ""
-        for chromosome_genes, values, token in zip(genes.tolist(), decoded, tokens):
-            fh.write(separator + template % (*chromosome_genes, *values, token))
-            separator = ",\n"
+        fh.write(head[: -len("[]\n}")] + "[\n" + first)  # head ends in '"entries": []\n}'
+        fh.writelines(",\n" + entry for entry in entries)
         fh.write("\n ]\n}\n")
 
 
@@ -255,14 +238,61 @@ def load_dictionary_arrays(path) -> tuple[SearchSpace, np.ndarray, np.ndarray, d
     (m, d) integer array and powers an (m,) array, their rows in gene order
     whatever the order of the entries.
 
-    Every entry must name a grid point of the export's own search space,
-    its values must be that point's decoded coordinates, its power must lie
-    in [0, 1], and no two entries may name the same point. The error names
-    the first entry that breaks a rule, in that order of rules.
+    The columns genes, power and values are read in that order, each in
+    full (_column). Then every entry must name a grid point of the export's
+    own search space, its values must be that point's decoded coordinates,
+    its power must lie in [0, 1], and no two entries may name the same
+    point. The error names the first entry at fault, in that order of
+    columns and rules.
     """
     payload = read_json(path)
     try:
-        return _arrays_from_dict(payload)
+        expect(payload, "top level", dict)
+        version = field(payload, "", "schema_version", int)
+        if version != SCHEMA_VERSION:
+            raise FormatError(f"schema_version: unsupported {version}, expected {SCHEMA_VERSION}")
+        space = space_from_dict(field(payload, "", "search_space", dict))
+        entries = field(payload, "", "entries", list)
+        # As floats, so that a gene too large for an integer array is
+        # reported as off the grid.
+        grid = _column(entries, "genes", tuple[int, ...], space.dimension)
+        powers = _column(entries, "power", float)
+        coordinates = _column(entries, "values", tuple[float, ...], space.dimension)
+        counts = space.grid_counts
+        off_grid = np.any((grid < 0) | (grid >= counts), axis=1)
+        if off_grid.any():
+            first = int(np.argmax(off_grid))
+            raise FormatError(
+                f"entries[{first}]: genes {entries[first]['genes']} are off the "
+                f"{' x '.join(map(str, counts))} grid"
+            )
+        decoded = space.decode_many(grid)
+        # Not-within rather than beyond, so that a NaN value fails too.
+        steps = np.array([r.step for r in space.ranges])
+        misplaced = ~np.all(np.abs(coordinates - decoded) <= 1e-9 * steps, axis=1)
+        if misplaced.any():
+            first = int(np.argmax(misplaced))
+            raise FormatError(
+                f"entries[{first}]: values {coordinates[first].tolist()} are not "
+                f"the decoded genes {decoded[first].tolist()}"
+            )
+        genes = grid.astype(np.intp)
+        # A stable sort keeps the entries of one point in file order: each
+        # after the first repeats it. lexsort, not a flat grid index, which
+        # overflows on grids of more than 2**63 points.
+        order = np.lexsort(genes.T[::-1])
+        ordered = genes[order]
+        repeated = np.zeros(len(genes), dtype=bool)
+        repeated[order[1:][np.all(ordered[1:] == ordered[:-1], axis=1)]] = True
+        outside = ~((powers >= 0.0) & (powers <= 1.0))  # NaN too
+        if (repeated | outside).any():
+            first = int(np.argmax(repeated | outside))
+            raise FormatError(
+                f"entries[{first}]: duplicate insert for {tuple(genes[first].tolist())}"
+                if repeated[first]
+                else f"entries[{first}]: power {float(powers[first])} outside [0, 1]"
+            )
+        return space, ordered, powers[order], field(payload, "", "metadata", dict, {})
     except ValueError as exc:  # a FormatError, or any check of the space
         raise FormatError(f"{path}: {exc}") from None
 
@@ -277,75 +307,27 @@ def load_dictionary_json(path) -> tuple[PowerDictionary, SearchSpace, dict[str, 
     return dictionary, space, metadata
 
 
-def _arrays_from_dict(payload: Any) -> tuple[SearchSpace, np.ndarray, np.ndarray, dict[str, Any]]:
-    expect(payload, "top level", dict)
-    version = field(payload, "", "schema_version", int)
-    if version != SCHEMA_VERSION:
-        raise FormatError(f"schema_version: unsupported {version}, expected {SCHEMA_VERSION}")
-    space = space_from_dict(field(payload, "", "search_space", dict))
-    entries = field(payload, "", "entries", list)
-    genes = column(entries, "entries", "genes", tuple[int, ...])
-    powers = _floats(column(entries, "entries", "power", float), "power")
-    values = column(entries, "entries", "values", tuple[float, ...])
-    dimension = space.dimension
-    if not set(map(len, genes)) | set(map(len, values)) <= {dimension}:
-        for number, (chromosome_genes, coordinates) in enumerate(zip(genes, values)):
-            if not len(chromosome_genes) == len(coordinates) == dimension:
-                raise FormatError(f"entries[{number}]: expected {dimension} genes and values")
-    # As floats first, so that a gene too large for an integer array is
-    # reported as off the grid.
-    grid = _floats(genes, "genes", dimension)
-    counts = space.grid_counts
-    off_grid = np.any((grid < 0) | (grid >= counts), axis=1)
-    if off_grid.any():
-        first = int(np.argmax(off_grid))
-        raise FormatError(
-            f"entries[{first}]: genes {genes[first]} are off the "
-            f"{' x '.join(map(str, counts))} grid"
-        )
-    decoded = space.decode_many(grid)
-    coordinates = _floats(values, "values", dimension)
-    # Not-within rather than beyond, so that a NaN value fails too.
-    steps = np.array([r.step for r in space.ranges])
-    misplaced = ~np.all(np.abs(coordinates - decoded) <= 1e-9 * steps, axis=1)
-    if misplaced.any():
-        first = int(np.argmax(misplaced))
-        raise FormatError(
-            f"entries[{first}]: values {coordinates[first].tolist()} are not "
-            f"the decoded genes {decoded[first].tolist()}"
-        )
-    genes = grid.astype(np.intp)
-    # A stable sort keeps the entries of one point in file order: each
-    # after the first repeats it. lexsort, not a flat grid index, which
-    # overflows on grids of more than 2**63 points.
-    order = np.lexsort(genes.T[::-1])
-    ordered = genes[order]
-    repeated = np.zeros(len(genes), dtype=bool)
-    repeated[order[1:][np.all(ordered[1:] == ordered[:-1], axis=1)]] = True
-    outside = ~((powers >= 0.0) & (powers <= 1.0))  # NaN too
-    if (repeated | outside).any():
-        first = int(np.argmax(repeated | outside))
-        raise FormatError(
-            f"entries[{first}]: duplicate insert for {tuple(genes[first].tolist())}"
-            if repeated[first]
-            else f"entries[{first}]: power {float(powers[first])} outside [0, 1]"
-        )
-    return space, ordered, powers[order], field(payload, "", "metadata", dict, {})
-
-
-def _floats(rows: list, key: str, width: int = 0) -> np.ndarray:
-    """The entries' key as floats: rows of numbers as an (m,) array, or with
-    a width, rows of lists of width numbers each as an (m, width) array. An
-    integer too large for a float names its entry."""
-    flat = itertools.chain.from_iterable(rows) if width else rows
+def _column(entries: list, key: str, kind, width: int = 0) -> np.ndarray:
+    """Every entry's key, of kind, as floats: an (m,) array, or with a width,
+    lists of width items each as an (m, width) array. One bulk pass checks
+    the column; if it fails, a walk names the first entry at fault: not an
+    object, key missing, not of kind, not width items, or an integer too
+    large for a float."""
     try:
-        array = np.fromiter(flat, dtype=float, count=len(rows) * max(width, 1))
-    except OverflowError:
-        kind = tuple[float, ...] if width else float
-        for i, row in enumerate(rows):  # in order, so the first such row raises
-            expect(row, f"entries[{i}].{key}", kind)
-        raise
-    return array.reshape(-1, width) if width else array
+        column = list(map(itemgetter(key), entries))
+        if _accepted(column, kind) and (not width or set(map(len, column)) <= {width}):
+            flat = itertools.chain.from_iterable(column) if width else column
+            array = np.fromiter(flat, dtype=float, count=len(column) * max(width, 1))
+            return array.reshape(-1, width) if width else array
+    except (KeyError, TypeError, OverflowError):  # checked entry by entry below
+        pass
+    for i, entry in enumerate(entries):
+        where = f"entries[{i}]"
+        value = field(expect(entry, where, dict), where, key, kind)
+        if width and len(value) != width:
+            raise FormatError(f"{where}: expected {width} genes and values")
+        expect(entry[key], f"{where}.{key}", tuple[float, ...] if width else float)
+    raise AssertionError(f"entries.{key}: the bulk pass failed on entries that each pass")
 
 
 def _query_point(path, line_no: int, row: list[str], width: int) -> tuple[float, ...]:

@@ -697,6 +697,9 @@ class TestEvaluate:
             ({"oracle_queries": True}, "metadata.oracle_queries"),
             ({"oracle_queries": -1}, "metadata.oracle_queries"),
             ({"oracle_queries": 19}, "metadata.oracle_queries"),  # the export has 20 entries
+            ({"oracle_queries": 21}, "metadata.oracle_queries"),  # the grid has 20 points
+            ({"oracle_queries": 10**400}, "metadata.oracle_queries"),
+            ({"oracle_queries": -(10**400)}, "metadata.oracle_queries"),
         ],
     )
     def test_malformed_metadata_exits_2(self, tmp_path, capsys, metadata, named):
@@ -707,8 +710,11 @@ class TestEvaluate:
         payload["metadata"] = metadata
         learned = tmp_path / "learned.json"
         learned.write_text(json.dumps(payload))
+        capsys.readouterr()
         assert main(["evaluate", "--ga", str(learned), "--brute", str(brute)]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err
+        assert len(err.replace(str(learned), "")) < 200  # a long count is cut
 
     def test_config_metric_is_honoured(self, tmp_path, capsys):
         """A -c config's predictor.metric ranks the neighbours: the report

@@ -110,16 +110,43 @@ class TestJsonDictionary:
             ({"genes": [2, -(10**400), 10]}, "entries[1].genes: an integer too large for a float"),
             ({"power": 10**400}, "entries[1].power: an integer too large for a float"),
             ({"values": [0.2, 0.55, 10**400]}, "entries[1].values: an integer too large for a float"),
+            # an entry's own faults: not an object, a key missing, a width or kind off
+            (5, "entries[1]: expected an object, got 5"),
+            ({"power": None}, "entries[1].power: required field is missing"),
+            ({"genes": None}, "entries[1].genes: required field is missing"),
+            ({"genes": [2, 5]}, "entries[1]: expected 3 genes and values"),
+            ({"values": [0.2, 0.55, 100.0, 1.0]}, "entries[1]: expected 3 genes and values"),
+            ({"genes": [-1, 5, 10]}, "entries[1]: genes [-1, 5, 10] are off the 5 x 13 x 31 grid"),
+            ({"genes": "2,5,10"}, 'entries[1].genes: expected a list with each item an integer, got "2,5,10"'),
         ],
     )
     def test_malformed_entry_names_it(self, tmp_path, entry, named):
+        """entry updates entries[1], genes (2, 5, 10) with values [0.2, 0.55,
+        100.0]: a key given None is removed, and a non-object replaces it."""
         path = tmp_path / "dict.json"
         export_dictionary_json(path, sample_dictionary(), sample_space(), {})
         payload = json.loads(path.read_text())
-        payload["entries"][1].update(entry)  # genes (2, 5, 10): values [0.2, 0.55, 100.0]
+        if isinstance(entry, dict):
+            payload["entries"][1].update(entry)
+            payload["entries"][1] = {k: v for k, v in payload["entries"][1].items() if v is not None}
+        else:
+            payload["entries"][1] = entry
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match=re.escape(named)):
             load_dictionary_json(path)
+
+    def test_columns_are_read_in_turn(self, tmp_path):
+        """Each entry column is checked in full, genes before power: a short
+        genes list in entries[1] is named before a string power in
+        entries[0]."""
+        path = tmp_path / "dict.json"
+        export_dictionary_json(path, sample_dictionary(), sample_space(), {})
+        payload = json.loads(path.read_text())
+        payload["entries"][0]["power"] = "x"
+        payload["entries"][1]["genes"] = [2, 5]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=re.escape("entries[1]: expected 3 genes and values")):
+            load_dictionary_arrays(path)
 
 
 class TestArrayLoader:
@@ -214,15 +241,27 @@ class TestJsonExportBytes:
         assert written == json_dump_bytes(dictionary, space, metadata)
 
     @pytest.mark.parametrize(
-        "powers",
-        [[], [1e-05], [0.30000000000000004, 0.1, 1.0, 0.0], [5e-324, 1 / 3, 0.9999999999999999]],
-        ids=["no-entries", "tiny", "rounding", "extremes"],
+        "powers, dimension",
+        [
+            ([], 3),
+            ([1e-05], 3),
+            ([0.30000000000000004, 0.1, 1.0, 0.0], 3),
+            ([5e-324, 1 / 3, 0.9999999999999999], 3),
+            ([-0.0, 0.7, 1e-300, 0.25, 0.1], 4),  # the interaction grid's dimension
+        ],
+        ids=["no-entries", "tiny", "rounding", "extremes", "4-d"],
     )
-    def test_exact_tokens(self, tmp_path, powers):
+    def test_exact_tokens(self, tmp_path, powers, dimension):
+        """A 4-D space adds a third coefficient, -0.5 to 0.5 by 0.25."""
         space = sample_space()
+        if dimension == 4:
+            space = SearchSpace(
+                coefficient_ranges=(*space.coefficient_ranges, ParameterRange(-0.5, 0.5, 0.25)),
+                sample_size_range=space.sample_size_range,
+            )
         d = PowerDictionary()
         for i, power in enumerate(powers):
-            d.insert(Chromosome((i % 5, i, 30 - i)), power)
+            d.insert(Chromosome((i % 5, i, *[i % 5] * (dimension - 3), 30 - i)), power)
         metadata = {"command": "t", "nested": {"list": [1, 2.5, None, "s"], "empty": {}}}
         path = tmp_path / "dict.json"
         export_dictionary_json(path, d, space, metadata)
